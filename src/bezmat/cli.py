@@ -46,6 +46,7 @@ from .matrix import Mat
 from .normal_forms import column_hermite, rank, smith
 from .similarity import (
     VARIANTS,
+    _conjugations,
     cline_verify,
     corollary_check,
     power_witness,
@@ -209,9 +210,7 @@ def _triple_dump(a: Mat, b: Mat, c: Mat, stage: str) -> dict:
 def _reverified_witness_doc(a, b, c, wit) -> dict:
     """Re-check every conjugation identity for a fresh witness; refuse to
     print a witness that does not verify."""
-    ver = {}
-    for mode in WITNESS_MODES:
-        ver[mode] = verify_witness(a, b, c, wit.W, mode=mode)
+    ver = _conjugations(a, b, c, wit.W, wit.Winv, WITNESS_MODES, wit.Xginv, wit.Yginv)
     if not all(ver.values()):
         failed = [m for m, ok in ver.items() if not ok]
         raise InternalAssertion(

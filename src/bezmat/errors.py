@@ -53,15 +53,18 @@ class NoSolution(BezmatError):
 class NotGroupInvertible(BezmatError):
     """Group inverse does not exist over the ring.
 
-    ``module_ok`` / ``factor_ok`` record which of the two independent
-    existence criteria failed (they must agree; both False here).
-    ``side`` optionally names the offending product in a larger pipeline.
+    ``module_ok`` / ``factor_ok`` name the two equivalent existence
+    criteria (the column modules of X and X @ X agree; Rt @ L is
+    invertible); both fail whenever this is raised, so both are always
+    False.  ``side`` optionally names the offending product in a larger
+    pipeline.
     """
 
-    def __init__(self, message, module_ok=False, factor_ok=False, side=None):
+    module_ok = False
+    factor_ok = False
+
+    def __init__(self, message, side=None):
         super().__init__(message)
-        self.module_ok = module_ok
-        self.factor_ok = factor_ok
         self.side = side
 
 

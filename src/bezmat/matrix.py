@@ -6,10 +6,8 @@ values").  Entries are ring payloads (int / Fraction / Poly) and all
 arithmetic is exact; zero-sized matrices (0 x n, n x 0, 0 x 0) are first
 class citizens because rank-0 factorizations produce them.
 
-Determinants use the Bareiss fraction-free scheme (exact division only).
-Ring inversion routes through the adjugate for small sizes and through
-the column Hermite transform for larger ones; the two paths are
-cross-checked in the test suite and the result is always re-verified by
+Determinants and ring inverses share one Bareiss fraction-free
+elimination (exact division only); an inverse is always re-verified by
 multiplication before being returned.
 """
 
@@ -18,14 +16,10 @@ from __future__ import annotations
 from .errors import (
     DimensionMismatch,
     InternalAssertion,
-    NoSolution,
     NotInvertibleOverRing,
     NotSquare,
     RingMismatch,
 )
-
-_ADJUGATE_MAX = 3  # inversion strategy switch-over size
-
 
 class Mat:
     __slots__ = ("ring", "m", "n", "rows")
@@ -302,19 +296,22 @@ def split_blocks(a: Mat, r: int):
 # -- determinant and inversion ------------------------------------------------
 
 
-def det(a: Mat):
-    """Exact determinant by the Bareiss fraction-free elimination."""
-    if not a.is_square():
-        raise NotSquare(f"determinant of a {a.m}x{a.n} matrix")
-    ring = a.ring
-    n = a.n
-    if n == 0:
-        return ring.one
-    work = [list(row) for row in a.rows]
+def _bareiss(ring, work, jordan):
+    """Fraction-free elimination of the leading square block of ``work``.
+
+    Works in place on the rows of ``work`` (n rows, at least n columns)
+    and returns the determinant of that block.  Rows below each pivot
+    are cleared, and with ``jordan`` the rows above it too (Gauss-Jordan),
+    so the columns right of the block end up multiplied by its inverse
+    times the last pivot.  Every division is exact: intermediate entries
+    are minors of the input.  Stops at the first column with no pivot
+    and returns zero.
+    """
+    n = len(work)
     z = ring.zero
     sign_flip = False
     prev = ring.one
-    for k in range(n - 1):
+    for k in range(n):
         piv = None
         best = None
         for i in range(k, n):
@@ -325,177 +322,82 @@ def det(a: Mat):
                     best = s
                     piv = i
         if piv is None:
-            return ring.zero
+            return z
         if piv != k:
             work[k], work[piv] = work[piv], work[k]
             sign_flip = not sign_flip
-        pkk = work[k][k]
-        for i in range(k + 1, n):
-            wik = work[i][k]
-            for j in range(k + 1, n):
-                num = pkk * work[i][j] - wik * work[k][j]
-                work[i][j] = ring.exact_div(num, prev)
-            work[i][k] = z
+        rk = work[k]
+        pkk = rk[k]
+        for i in range(0 if jordan else k + 1, n):
+            if i == k:
+                continue
+            ri = work[i]
+            wik = ri[k]
+            for j in range(k + 1, len(rk)):
+                ri[j] = ring.exact_div(pkk * ri[j] - wik * rk[j], prev)
+            ri[k] = z
         prev = pkk
-    d = work[n - 1][n - 1]
-    return -d if sign_flip else d
+    return -prev if sign_flip else prev
 
 
-def _det_cofactor(a: Mat):
-    """Cofactor-expansion determinant; quadratic-size oracle for tests."""
-    ring = a.ring
-    n = a.n
-    if n == 0:
-        return ring.one
-    if n == 1:
-        return a[0, 0]
-    total = ring.zero
-    rest = [row[1:] for row in a.rows]
-    for i in range(n):
-        if a[i, 0] == ring.zero:
-            continue
-        minor = Mat(ring, [rest[r] for r in range(n) if r != i])
-        term = a[i, 0] * _det_cofactor(minor)
-        total = total + (term if i % 2 == 0 else -term)
-    return total
+def det(a: Mat):
+    """Exact determinant by the Bareiss fraction-free elimination."""
+    if not a.is_square():
+        raise NotSquare(f"determinant of a {a.m}x{a.n} matrix")
+    return _bareiss(a.ring, [list(row) for row in a.rows], jordan=False)
 
 
-def _adjugate(a: Mat) -> Mat:
-    ring = a.ring
-    n = a.n
-    if n == 0:
-        return a
-    if n == 1:
-        return Mat.identity(ring, 1)
-    out = []
-    for i in range(n):
-        row = []
-        for j in range(n):
-            rows = [
-                tuple(a.rows[r][c] for c in range(n) if c != i)
-                for r in range(n)
-                if r != j
-            ]
-            cof = det(Mat._raw(ring, n - 1, n - 1, tuple(rows)))
-            row.append(cof if (i + j) % 2 == 0 else -cof)
-        out.append(tuple(row))
-    return Mat._raw(ring, n, n, tuple(out))
-
-
-def inverse_over_ring(a: Mat, _det=None) -> Mat:
+def inverse_over_ring(a: Mat) -> Mat:
     """Two-sided inverse with entries in the ring.
 
     Exists exactly when det(a) is a unit; otherwise raises
-    NotInvertibleOverRing carrying the determinant.  Small matrices go
-    through the adjugate, larger ones through the Hermite transform
-    (column Hermite of a unimodular matrix is the identity, and the
-    accumulated column transform is the inverse).  The product is
-    re-verified before returning.
+    NotInvertibleOverRing carrying the determinant.  One fraction-free
+    Gauss-Jordan elimination on [a | I] yields both: the determinant is
+    the last pivot up to the sign of the row swaps, and the right block
+    is the inverse times that pivot.  The product is re-verified before
+    returning.
     """
     if not a.is_square():
         raise NotSquare(f"inverse of a {a.m}x{a.n} matrix")
     ring = a.ring
-    d = det(a) if _det is None else _det
+    n = a.n
+    z, o = ring.zero, ring.one
+    work = [
+        list(row) + [o if i == j else z for j in range(n)]
+        for i, row in enumerate(a.rows)
+    ]
+    d = _bareiss(ring, work, jordan=True)
     if not ring.is_unit(d):
         raise NotInvertibleOverRing(
             f"determinant {ring.pretty(d)} is not a unit of {ring.name}", det=d
         )
-    n = a.n
     if n == 0:
         return a
-    if n <= _ADJUGATE_MAX:
-        di = ring.unit_inverse(d)
-        inv = _adjugate(a).scale(di)
-    else:
-        from . import normal_forms  # local import; normal_forms imports this module
-
-        hr = normal_forms.column_hermite(a)
-        if hr.H != Mat.identity(ring, n):
-            raise InternalAssertion(
-                "unit determinant but Hermite form is not the identity"
-            )
-        inv = hr.T
+    scale = ring.unit_inverse(work[n - 1][n - 1])
+    inv = Mat._raw(ring, n, n, tuple(tuple(scale * x for x in row[n:]) for row in work))
     ident = Mat.identity(ring, n)
     if a @ inv != ident or inv @ a != ident:
         raise InternalAssertion("inverse candidate failed verification")
     return inv
 
 
-def _inverse_adjugate(a: Mat) -> Mat:
-    """Adjugate-route inverse regardless of size (cross-check path)."""
-    ring = a.ring
-    d = det(a)
-    if not ring.is_unit(d):
-        raise NotInvertibleOverRing(
-            f"determinant {ring.pretty(d)} is not a unit of {ring.name}", det=d
-        )
-    if a.n == 0:
-        return a
-    return _adjugate(a).scale(ring.unit_inverse(d))
-
-
-def _inverse_hermite(a: Mat) -> Mat:
-    """Hermite-route inverse regardless of size (cross-check path)."""
-    from . import normal_forms
-
-    ring = a.ring
-    d = det(a)
-    if not ring.is_unit(d):
-        raise NotInvertibleOverRing(
-            f"determinant {ring.pretty(d)} is not a unit of {ring.name}", det=d
-        )
-    if a.n == 0:
-        return a
-    hr = normal_forms.column_hermite(a)
-    if hr.H != Mat.identity(ring, a.n):
-        raise InternalAssertion("unit determinant but Hermite form is not the identity")
-    return hr.T
-
-
 def solve_in_column_module(a: Mat, b: Mat) -> Mat:
     """Solve a @ X == b over the ring, or raise NoSolution.
 
-    Works column by column through the column Hermite form: pivots are
-    consumed top-down, each forcing one exact division.  A failed
-    division or a nonzero residue means b is outside the column module
-    of a (over the ring; the fraction-field system may still be
-    solvable with non-ring entries).
+    Works through the column Hermite form a @ T == H: echelon
+    substitution against the nonzero columns of H, then T maps the
+    solution back.  NoSolution means b is outside the column module of
+    a over the ring (the fraction-field system may still be solvable
+    with non-ring entries).
     """
     from . import normal_forms
 
     a._same_ring(b)
     if a.m != b.m:
         raise DimensionMismatch(f"solve: {a.shape} vs {b.shape}")
-    ring = a.ring
     hr = normal_forms.column_hermite(a)
-    hcols = [hr.H.col(j) for j in range(hr.H.n)]
-    z = ring.zero
-    ys = []
-    for bc in range(b.n):
-        c = list(b.col(bc))
-        y = [z] * a.n
-        for idx, pr in enumerate(hr.pivot_rows):
-            val = c[pr]
-            if val == z:
-                continue
-            piv = hcols[idx][pr]
-            q, rem = ring.pivot_reduce(val, piv)
-            if rem != z:
-                raise NoSolution(
-                    f"column {bc} of the right-hand side is outside the column module"
-                )
-            if q != z:
-                for i in range(pr, a.m):
-                    c[i] = c[i] - q * hcols[idx][i]
-                y[idx] = q
-        if any(x != z for x in c):
-            raise NoSolution(
-                f"column {bc} of the right-hand side is outside the column module"
-            )
-        ys.append(y)
-    x = hr.T @ Mat._raw(
-        a.ring, a.n, b.n, tuple(tuple(ys[j][i] for j in range(b.n)) for i in range(a.n))
-    )
+    y = normal_forms._echelon_solve(hr, b)
+    x = hr.T.submatrix(0, a.n, 0, y.m) @ y
     if a @ x != b:
         raise InternalAssertion("solver produced a non-solution")
     return x

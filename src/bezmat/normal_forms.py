@@ -27,8 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import InternalAssertion
-from .matrix import Mat, inverse_over_ring
+from .errors import InternalAssertion, NoSolution
+from .matrix import Mat
 
 
 @dataclass(frozen=True)
@@ -160,58 +160,75 @@ def rank(a: Mat) -> int:
 def smith(a: Mat) -> SmithResult:
     """Smith form A == U @ S @ V with the divisibility chain canonical.
 
-    Internally accumulates forward transforms P, Q with S == P @ A @ Q,
-    then inverts the (unimodular) transforms exactly.
+    Starting from U = I, S = A, V = I, every row step on S applies its
+    inverse as a column step on U, and every column step on S applies its
+    inverse as a row step on V, so U @ S @ V == A holds throughout.
     """
     ring = a.ring
     m, n = a.m, a.n
     z = ring.zero
     S = [list(row) for row in a.rows]
-    P = [[ring.one if i == j else z for j in range(m)] for i in range(m)]
-    Q = [[ring.one if i == j else z for j in range(n)] for i in range(n)]
+    U = [[ring.one if i == j else z for j in range(m)] for i in range(m)]
+    V = [[ring.one if i == j else z for j in range(n)] for i in range(n)]
 
     def row_swap(i0, i1):
         S[i0], S[i1] = S[i1], S[i0]
-        P[i0], P[i1] = P[i1], P[i0]
+        for row in U:
+            row[i0], row[i1] = row[i1], row[i0]
 
     def col_swap(j0, j1):
         for row in S:
             row[j0], row[j1] = row[j1], row[j0]
-        for row in Q:
-            row[j0], row[j1] = row[j1], row[j0]
+        V[j0], V[j1] = V[j1], V[j0]
 
+    # The 2x2 steps below have determinant s*u + t*v == 1 (xgcd), so
+    # [[s, t], [-v, u]] has inverse [[u, -t], [v, s]].
     def row_combine(ik, ii, s, t, u, v):
         # (row_k, row_i) <- (s*rk + t*ri, -v*rk + u*ri)
-        for M in (S, P):
-            rk, ri = M[ik], M[ii]
-            for j in range(len(rk)):
-                x, y = rk[j], ri[j]
-                rk[j] = s * x + t * y
-                ri[j] = u * y - v * x
+        rk, ri = S[ik], S[ii]
+        for j in range(n):
+            x, y = rk[j], ri[j]
+            rk[j] = s * x + t * y
+            ri[j] = u * y - v * x
+        for row in U:
+            x, y = row[ik], row[ii]
+            row[ik] = u * x + v * y
+            row[ii] = s * y - t * x
 
     def col_combine(jk, jj, s, t, u, v):
-        for M in (S, Q):
-            for row in M:
-                x, y = row[jk], row[jj]
-                row[jk] = s * x + t * y
-                row[jj] = u * y - v * x
+        # (col_k, col_j) <- (s*ck + t*cj, -v*ck + u*cj)
+        for row in S:
+            x, y = row[jk], row[jj]
+            row[jk] = s * x + t * y
+            row[jj] = u * y - v * x
+        vk, vj = V[jk], V[jj]
+        for i in range(n):
+            x, y = vk[i], vj[i]
+            vk[i] = u * x + v * y
+            vj[i] = s * y - t * x
 
     def row_addmul(idst, isrc, c):
-        for M in (S, P):
-            rd, rs = M[idst], M[isrc]
-            for j in range(len(rd)):
-                rd[j] = rd[j] + c * rs[j]
+        rd, rs = S[idst], S[isrc]
+        for j in range(n):
+            rd[j] = rd[j] + c * rs[j]
+        for row in U:
+            row[isrc] = row[isrc] - c * row[idst]
 
     def col_addmul(jdst, jsrc, c):
-        for M in (S, Q):
-            for row in M:
-                row[jdst] = row[jdst] + c * row[jsrc]
+        for row in S:
+            row[jdst] = row[jdst] + c * row[jsrc]
+        vd, vs = V[jdst], V[jsrc]
+        for i in range(n):
+            vs[i] = vs[i] - c * vd[i]
 
-    def row_scale(i, c):
-        for M in (S, P):
-            row = M[i]
-            for j in range(len(row)):
-                row[j] = c * row[j]
+    def row_scale(i, unit):
+        # row_i <- row_i / unit
+        c = ring.unit_inverse(unit)
+        row = S[i]
+        for j in range(n):
+            row[j] = c * row[j]
+        for row in U:
+            row[i] = unit * row[i]
 
     def find_pivot(t):
         best = None
@@ -283,16 +300,15 @@ def smith(a: Mat) -> SmithResult:
             continue  # redo clearing at the same t
         unit, _ = ring.canonicalize(piv)
         if unit != ring.one:
-            row_scale(t, ring.unit_inverse(unit))
+            row_scale(t, unit)
         t += 1
 
-    S_mat = Mat._raw(ring, m, n, tuple(tuple(r) for r in S))
-    P_mat = Mat._raw(ring, m, m, tuple(tuple(r) for r in P))
-    Q_mat = Mat._raw(ring, n, n, tuple(tuple(r) for r in Q))
-    U = inverse_over_ring(P_mat)
-    V = inverse_over_ring(Q_mat)
-    result = SmithResult(U=U, S=S_mat, V=V)
-    if U @ S_mat @ V != a:
+    result = SmithResult(
+        U=Mat._raw(ring, m, m, tuple(tuple(r) for r in U)),
+        S=Mat._raw(ring, m, n, tuple(tuple(r) for r in S)),
+        V=Mat._raw(ring, n, n, tuple(tuple(r) for r in V)),
+    )
+    if result.U @ result.S @ result.V != a:
         raise InternalAssertion("Smith transform reconstruction failed")
     d = result.diagonal()
     for i in range(len(d) - 1):
@@ -301,13 +317,53 @@ def smith(a: Mat) -> SmithResult:
     return result
 
 
+def _echelon_solve(hr: HermiteResult, b: Mat) -> Mat:
+    """Y with H_r @ Y == b, where H_r is the r nonzero columns of hr.H.
+
+    Pivots are consumed top-down, each forcing one exact division.  A
+    failed division or a nonzero residue means a column of b is outside
+    the column module, and raises NoSolution.
+    """
+    ring = b.ring
+    z = ring.zero
+    r = len(hr.pivot_rows)
+    hcols = [hr.H.col(j) for j in range(r)]
+    ys = []
+    for bc in range(b.n):
+        c = list(b.col(bc))
+        y = [z] * r
+        for idx, pr in enumerate(hr.pivot_rows):
+            val = c[pr]
+            if val == z:
+                continue
+            piv = hcols[idx][pr]
+            q, rem = ring.pivot_reduce(val, piv)
+            if rem != z:
+                raise NoSolution(
+                    f"column {bc} of the right-hand side is outside the column module"
+                )
+            if q != z:
+                for i in range(pr, b.m):
+                    c[i] = c[i] - q * hcols[idx][i]
+                y[idx] = q
+        if any(x != z for x in c):
+            raise NoSolution(
+                f"column {bc} of the right-hand side is outside the column module"
+            )
+        ys.append(y)
+    return Mat._raw(ring, r, b.n, tuple(tuple(y[i] for y in ys) for i in range(r)))
+
+
 def rank_factorization(a: Mat) -> RankFactorization:
-    """A == L @ Rt with L of full column rank r and Rt of full row rank r."""
-    sr = smith(a)
-    d = sr.diagonal()
-    r = len(d)
-    L = sr.U.submatrix(0, a.m, 0, r) @ Mat.diagonal(a.ring, d)
-    Rt = sr.V.submatrix(0, r, 0, a.n)
+    """A == L @ Rt with L of full column rank r and Rt of full row rank r.
+
+    L is the nonzero columns of the column Hermite form A @ T == H, and
+    Rt solves L @ Rt == A, which makes it the top r rows of T^-1.
+    """
+    hr = column_hermite(a)
+    r = len(hr.pivot_rows)
+    L = hr.H.submatrix(0, a.m, 0, r)
+    Rt = _echelon_solve(hr, a)
     if L @ Rt != a:
         raise InternalAssertion("rank factorization reconstruction failed")
     return RankFactorization(L=L, Rt=Rt, r=r)
@@ -338,7 +394,6 @@ def col_module_equal(a: Mat, b: Mat) -> bool:
 
 def col_module_contains(a: Mat, b: Mat) -> bool:
     """Does the column module of a contain every column of b?"""
-    from .errors import NoSolution
     from .matrix import solve_in_column_module
 
     try:

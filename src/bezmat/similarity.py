@@ -51,6 +51,10 @@ from .normal_forms import col_module_equal
 
 @dataclass(frozen=True)
 class SimilarityWitness:
+    """W with X == W @ Y @ Winv for X = A@B and Y = C@A of the triple it
+    was built from, with the pieces of its construction; Xginv and Yginv
+    are the group inverses of X and Y."""
+
     W: Mat
     Winv: Mat
     r1: int
@@ -58,6 +62,8 @@ class SimilarityWitness:
     H2: Mat
     Acore: Mat
     AcoreInv: Mat
+    Xginv: Mat
+    Yginv: Mat
 
 
 @dataclass(frozen=True)
@@ -111,8 +117,6 @@ def _instance_dump(a: Mat, b: Mat, c: Mat, stage: str):
 def similarity_witness(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
     """Construct and verify W with A@B == W @ (C@A) @ W^-1."""
     _validate_triple(a, b, c)
-    ring = a.ring
-    n = a.n
     x = a @ b
     y = c @ a
     aba = x @ a
@@ -128,8 +132,16 @@ def similarity_witness(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
     if fail_y is not None:
         fail_y.side = "CA"
         raise fail_y
-    xg, yg = res_x.ginv, res_y.ginv
+    return _witness_from(a, b, c, res_x.ginv, res_y.ginv)
 
+
+def _witness_from(a: Mat, b: Mat, c: Mat, xg: Mat, yg: Mat) -> SimilarityWitness:
+    """Steps 3-6 for a triple with A@B@A == A@C@A, given the group
+    inverses xg of X = A@B and yg of Y = C@A."""
+    ring = a.ring
+    n = a.n
+    x = a @ b
+    y = c @ a
     cs1 = _core_split_with(x, xg)
     cs2 = _core_split_with(y, yg)
     if cs1.r != cs2.r:
@@ -139,8 +151,7 @@ def similarity_witness(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
         )
     r1 = cs1.r
     h1, h2 = cs1.H, cs2.H
-    h1inv = inverse_over_ring(h1)
-    h2inv = inverse_over_ring(h2)
+    h1inv, h2inv = cs1.Hinv, cs2.Hinv
 
     at = h1inv @ a @ h2
     at11, at12, at21, _ = split_blocks(at, r1)
@@ -174,7 +185,15 @@ def similarity_witness(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
             instance=_instance_dump(a, b, c, "final"),
         )
     return SimilarityWitness(
-        W=w, Winv=winv, r1=r1, H1=h1, H2=h2, Acore=at11, AcoreInv=g11
+        W=w,
+        Winv=winv,
+        r1=r1,
+        H1=h1,
+        H2=h2,
+        Acore=at11,
+        AcoreInv=g11,
+        Xginv=xg,
+        Yginv=yg,
     )
 
 
@@ -197,20 +216,32 @@ def verify_witness(a: Mat, b: Mat, c: Mat, w: Mat, mode: str = "product") -> boo
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
     winv = inverse_over_ring(w)
+    return _conjugations(a, b, c, w, winv, (mode,))[mode]
+
+
+def _conjugations(a, b, c, w, winv, modes, xg=None, yg=None) -> dict:
+    """{mode: verify_witness(a, b, c, w, mode)} given W^-1.
+
+    Each group or Drazin inverse is computed at most once for all the
+    modes, and the group inverses of X = A@B and Y = C@A not at all when
+    xg and yg are given.
+    """
     x = a @ b
     y = c @ a
-    if mode == "product":
-        lhs, rhs = x, y
-    elif mode == "ginv":
-        lhs = group_inverse(x).ginv
-        rhs = group_inverse(y).ginv
-    elif mode == "projector":
-        lhs = x @ group_inverse(x).ginv
-        rhs = y @ group_inverse(y).ginv
-    else:  # core
-        lhs = x @ x @ drazin(x).dinv
-        rhs = y @ y @ drazin(y).dinv
-    return lhs == w @ rhs @ winv
+    ver = {}
+    for mode in modes:
+        if mode == "product":
+            lhs, rhs = x, y
+        elif mode == "core":
+            lhs = x @ x @ drazin(x).dinv
+            rhs = y @ y @ drazin(y).dinv
+        else:
+            if xg is None:
+                xg = group_inverse(x).ginv
+                yg = group_inverse(y).ginv
+            lhs, rhs = (xg, yg) if mode == "ginv" else (x @ xg, y @ yg)
+        ver[mode] = lhs == w @ rhs @ winv
+    return ver
 
 
 def conjugate_witnesses(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
@@ -218,8 +249,11 @@ def conjugate_witnesses(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
     group inverses, core projectors, and cores.  Any failure of the
     derived conjugations is a bug, not an input problem."""
     wit = similarity_witness(a, b, c)
-    for mode in ("ginv", "projector", "core"):
-        if not verify_witness(a, b, c, wit.W, mode=mode):
+    ver = _conjugations(
+        a, b, c, wit.W, wit.Winv, ("ginv", "projector", "core"), wit.Xginv, wit.Yginv
+    )
+    for mode, ok in ver.items():
+        if not ok:
             raise InternalAssertion(
                 f"constructed witness failed derived conjugation {mode!r}",
                 instance=_instance_dump(a, b, c, f"conjugate-{mode}"),
@@ -275,7 +309,7 @@ def power_witness(a: Mat, b: Mat, c: Mat, s: int) -> SimilarityWitness:
         # legitimately possible at s == k when index(C@A) == k + 1
         fail_cas.side = "CA^s"
         raise fail_cas
-    return similarity_witness(a, b2, c2)
+    return _witness_from(a, b2, c2, res_abs.ginv, res_cas.ginv)
 
 
 def cline_verify(a: Mat, b: Mat, c: Mat) -> bool:
@@ -363,5 +397,4 @@ def corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
             "variant conditions hold but a product is not group invertible",
             instance=_instance_dump(a, b, c, f"variant-{variant}"),
         )
-    wit = similarity_witness(a, b, c)
-    return report, wit
+    return report, _witness_from(a, b, c, res_x.ginv, res_y.ginv)

@@ -18,6 +18,7 @@ from bezmat.errors import (
     NotSquare,
 )
 from bezmat.field_oracle import fraction_field_oracle
+from bezmat.generate import GenConfig, gen_group_invertible
 from bezmat.ginverse import (
     core_split,
     drazin,
@@ -26,6 +27,7 @@ from bezmat.ginverse import (
     is_group_invertible,
 )
 from bezmat.matrix import Mat, block_diag, inverse_over_ring
+from bezmat.normal_forms import col_module_equal
 from bezmat.rings import QQ, QQX, ZZ, Poly
 
 
@@ -133,6 +135,50 @@ def test_group_inverse_requires_square():
 
 def test_nilpotent_is_not_group_invertible():
     assert not is_group_invertible(mat([[0, 1], [0, 0]]))
+
+
+# ---------------------------------------------------------------------------
+# the module criterion agrees with the factor criterion used at runtime
+# ---------------------------------------------------------------------------
+
+# L @ R with inner dimension k: every rank from 0 to n occurs
+low_rank_int_matrix = st.tuples(st.integers(1, 4), st.integers(0, 4)).flatmap(
+    lambda nk: st.tuples(
+        st.lists(st.integers(-3, 3), min_size=nk[0] * nk[1], max_size=nk[0] * nk[1]),
+        st.lists(st.integers(-3, 3), min_size=nk[0] * nk[1], max_size=nk[0] * nk[1]),
+    ).map(
+        lambda lr: Mat.from_rows(
+            ZZ, [lr[0][i * nk[1] : (i + 1) * nk[1]] for i in range(nk[0])], ncols=nk[1]
+        )
+        @ Mat.from_rows(
+            ZZ, [lr[1][i * nk[0] : (i + 1) * nk[0]] for i in range(nk[1])], ncols=nk[0]
+        )
+    )
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(low_rank_int_matrix)
+def test_module_criterion_matches_group_invertibility(x):
+    assert col_module_equal(x, x @ x) == is_group_invertible(x)
+
+
+def test_module_criterion_matches_group_invertibility_poly():
+    x = Poly.x()
+    cases = [
+        Mat.from_rows(QQX, [[x, 0], [0, 0]]),
+        Mat.from_rows(QQX, [[1, 0], [0, 0]]),
+        Mat.from_rows(QQX, [[0, x], [0, 0]]),
+        Mat.from_rows(QQX, [[x, 1], [x - 1, 1]]),
+        Mat.from_rows(QQX, [[x, x * x], [1, x]]),  # X @ X == 2x X
+        Mat.from_rows(QQX, [[1, x], [0, 0]]),
+        Mat.from_rows(QQX, [[x, 0], [0, 1]]),
+        gen_group_invertible(GenConfig(ring="polyrat", n=3, seed=5, entry_bound=2, core_rank=2)),
+    ]
+    verdicts = [is_group_invertible(c) for c in cases]
+    assert verdicts == [False, True, False, True, False, True, False, True]
+    for c, ok in zip(cases, verdicts):
+        assert col_module_equal(c, c @ c) == ok
 
 
 # ---------------------------------------------------------------------------

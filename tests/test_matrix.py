@@ -14,6 +14,7 @@ from bezmat.errors import (
     NotSquare,
     RingMismatch,
 )
+from bezmat.generate import GenConfig, random_matrix, random_unimodular
 from bezmat.matrix import (
     Mat,
     block_diag,
@@ -24,7 +25,7 @@ from bezmat.matrix import (
     split_blocks,
     vstack,
 )
-from bezmat.rings import QQ, QQX, ZZ, Poly
+from bezmat.rings import QQ, QQX, ZZ, Poly, get_ring
 
 
 def mat(rows):
@@ -187,7 +188,6 @@ def test_inverse_over_ring_unimodular():
     u = mat([[2, 1], [1, 1]])  # det 1
     v = inverse_over_ring(u)
     assert u @ v == Mat.identity(ZZ, 2) and v @ u == Mat.identity(ZZ, 2)
-    # 4x4 goes through the echelon-based route rather than the adjugate
     w = mat(
         [
             [1, 2, 0, 1],
@@ -206,6 +206,40 @@ def test_inverse_over_ring_rejects_nonunit_det():
     assert exc.value.det == 2
     with pytest.raises(NotSquare):
         inverse_over_ring(mat([[1, 2]]))
+
+
+@pytest.mark.parametrize("ring_name", ["int", "rat", "polyrat"])
+@pytest.mark.parametrize("n", range(7))
+def test_inverse_over_ring_inverts_or_reports_exact_det(ring_name, n):
+    # unimodular of either determinant sign, doubled, dense and singular
+    # inputs: each inverts and verifies, or reports det(A) exactly
+    ring = get_ring(ring_name)
+    cfg = GenConfig(ring=ring_name, n=n, seed=700 + n, entry_bound=2)
+    u = random_unimodular(cfg)
+    dense = random_matrix(cfg)
+    flipped = Mat.from_rows(ring, [[-e for e in u.rows[0]], *u.rows[1:]]) if n else u
+    cases = [u, flipped, u.scale(2), dense]
+    if n:
+        # last row a combination of the others (or zero): determinant 0
+        last = [ring.zero] * n
+        for row in dense.rows[:-1]:
+            last = [x + y for x, y in zip(last, row)]
+        singular = Mat.from_rows(ring, [*dense.rows[:-1], last])
+        cases.append(singular)
+    ident = Mat.identity(ring, n)
+    for a in cases:
+        d = _det_reference(a)
+        if ring.is_unit(d):
+            inv = inverse_over_ring(a)
+            assert a @ inv == ident and inv @ a == ident
+        else:
+            with pytest.raises(NotInvertibleOverRing) as exc:
+                inverse_over_ring(a)
+            assert exc.value.det == d
+    if n:
+        with pytest.raises(NotInvertibleOverRing) as exc:
+            inverse_over_ring(singular)
+        assert exc.value.det == ring.zero
 
 
 def test_inverse_over_rat_field():
