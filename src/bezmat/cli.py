@@ -46,10 +46,10 @@ from .matrix import Mat
 from .normal_forms import column_hermite, rank, smith
 from .similarity import (
     VARIANTS,
+    _cline,
     _conjugations,
-    cline_verify,
+    _power_witness,
     corollary_check,
-    power_witness,
     similarity_witness,
     verify_witness,
 )
@@ -269,10 +269,11 @@ def _cmd_witness(args) -> dict:
 
 def _cmd_witness_power(args) -> dict:
     a, b, c = _load_triple(args)
-    s = args.s
+    s, dr_ab = args.s, None
     if s is None:
-        s = max(drazin(a @ b).index, 1)
-    wit = power_witness(a, b, c, s)
+        dr_ab = drazin(a @ b)
+        s = max(dr_ab.index, 1)
+    wit = _power_witness(a, b, c, s, dr_ab)
     ident = Mat.identity(a.ring, a.n)
     ok = (
         wit.W @ wit.Winv == ident
@@ -297,11 +298,11 @@ def _cmd_verify(args) -> dict:
 
 def _cmd_verify_cline(args) -> dict:
     a, b, c = _load_triple(args)
-    ok = cline_verify(a, b, c)
+    ok, dr_ab, dr_ca = _cline(a, b, c)
     doc = {"verified": bool(ok)}
     if ok:
-        doc["index_ab"] = drazin(a @ b).index
-        doc["index_ca"] = drazin(c @ a).index
+        doc["index_ab"] = dr_ab.index
+        doc["index_ca"] = dr_ca.index
     return doc
 
 

@@ -1,484 +1,152 @@
 """Independent fraction-field oracle for generalized inverses.
 
 The main library decides existence of group/Drazin inverses over the
-ring via Hermite/Smith machinery.  This module answers the same
-questions by a disjoint route: lift the matrix to the fraction field
-(rationals for integer matrices, rational functions for polynomial
-matrices), run textbook echelon-based linear algebra there, and test
-whether the unique field-level inverse happens to have all entries in
-the ring.  Uniqueness of group and Drazin inverses gives the contract
+ring via Hermite forms and ring inverses.  This module answers the same
+questions over the fraction field (the rationals for integer matrices,
+rational functions for polynomial matrices) and then tests whether the
+unique field-level inverse has all its entries in the ring.  Uniqueness
+of group and Drazin inverses gives the contract
 
     exists over the ring  <=>  exists over the field  AND  integral,
 
-and when both sides exist the values must match entry-for-entry.  None
-of the code here touches normal_forms; matrices are plain lists of
-lists of field elements.
+and when both sides exist the values must match entry-for-entry.
 
-Field-level facts used:
-  * rank via row-reduced echelon form;
-  * CR factorization: X = C @ R with C the pivot columns of X and R
-    the nonzero rows of rref(X);
-  * X is group invertible over a field iff R @ C is nonsingular, and
-    then X^# = C @ (RC)^-2 @ R;
-  * the Drazin index is the least k >= 0 with
-    rank(X^(k+1)) = rank(X^k)  (X^0 = I), and for k >= 1
-    X^D = X^(k-1) @ (X^k)^#; every square matrix is Drazin invertible
-    over a field.
+No field element is ever formed.  Each field-level result is a ring
+numerator matrix N over one ring denominator, and it is integral
+exactly when that denominator divides every entry of N.  Everything
+rests on one fraction-free Gauss-Jordan elimination (Bareiss 1968),
+whose reduced echelon form is its rows over its last pivot d.  One
+elimination of [X | I], with pivots taken in X only, gives the rank r
+of X, its pivot columns J and its pivot rows I; with C = X[:, J],
+R = X[I, :], M = X[I, J] (nonsingular, X == C M^-1 R) and F = R C:
+
+  * r == n: the right block N gives X^-1 == N / d, which is also X^#
+    and X^D, of index 0;
+  * r < n: X^# exists over the field iff F is nonsingular, and then
+    X^# == C A M A R / d^2, where eliminating [F | I] gives A F == d I;
+  * otherwise the Drazin index k >= 2 is the least k with
+    rank(X^(k+1)) == rank(X^k), that is with (X^k)^# existing over the
+    field (each power is eliminated once), and
+    X^D == X^(k-1) N_k / d_k^2 for (X^k)^# == N_k / d_k^2.
+
+X^# exists exactly when the index is at most 1, and is then X^D, so one
+check covers both results: with delta the denominator,
+
+    X N == N X,   N X N == delta N,   X^(k+1) N == delta X^k,
+
+and a failure raises InternalAssertion.  The oracle uses Mat, @ and the
+ring's own methods only: it shares no elimination code with the ring
+path (normal_forms, det, inverse_over_ring), so a bug there cannot
+agree with itself here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd as _gcd, lcm as _lcm
 
 from . import faults
-from .errors import DivisionByZero, NotSquare
+from .errors import InternalAssertion, NotDivisible, NotSquare
 from .matrix import Mat
-from .rings import Poly
 
 
-# ---------------------------------------------------------------------------
-# rational functions over the rationals (fraction field of Poly)
+def _rref_den(ring, rows, width):
+    """Fraction-free Gauss-Jordan elimination with column skipping.
 
-
-def _int_coeffs(p: Poly) -> list:
-    """Ascending integer coefficients of a rational polynomial, scaled
-    by the denominator lcm and stripped of integer content."""
-    scale = 1
-    for c in p.coeffs:
-        scale = _lcm(scale, c.denominator)
-    ints = [int(c * scale) for c in p.coeffs]
-    g = 0
-    for c in ints:
-        g = _gcd(g, c)
-    return [c // g for c in ints]
-
-
-def _pseudo_rem(a: list, b: list) -> list:
-    """Pseudo-remainder of ascending integer coefficient lists: repeats
-    a := lead(b)*a - lead(a)*x^(da-db)*b, which needs no division."""
-    a = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    while len(a) - 1 >= db:
-        la = a[-1]
-        shift = len(a) - 1 - db
-        a = [lb * c for c in a]
-        for i, bc in enumerate(b):
-            a[shift + i] -= la * bc
-        while a and a[-1] == 0:
-            a.pop()
-        if not a:
+    Pivots are taken left to right in the first ``width`` columns, each
+    the first nonzero entry at or below the current row; row operations
+    act on every column.  Returns (rows, pivot_cols, pivot_rows, d):
+    the reduced echelon form of the input is rows / d, d being the last
+    pivot (one when there is none), and pivot_rows[i] is the input index
+    of the row that became pivot row i.  Each entry is a minor of the
+    input, so every division by the previous pivot is exact.
+    """
+    rows = [list(r) for r in rows]
+    order = list(range(len(rows)))
+    one = ring.one
+    d = one
+    cols = []
+    for j in range(width):
+        i = len(cols)
+        if i == len(rows):
             break
-    return a
-
-
-def _poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic gcd via the primitive pseudo-remainder sequence over the
-    integers: all arithmetic is on plain ints with content stripped at
-    every step, avoiding the Fraction-normalization churn (and the
-    coefficient blow-up) of naive Euclid over the rationals."""
-    if a.is_zero():
-        return b if b.is_zero() else b * (Fraction(1) / b.lead)
-    if b.is_zero():
-        return a * (Fraction(1) / a.lead)
-    aa = _int_coeffs(a)
-    bb = _int_coeffs(b)
-    while bb:
-        r = _pseudo_rem(aa, bb)
-        aa = bb
-        if r:
-            g = 0
-            for c in r:
-                g = _gcd(g, c)
-            bb = [c // g for c in r]
-        else:
-            bb = []
-    lead = aa[-1]
-    return Poly([Fraction(c, lead) for c in aa])
-
-
-class RatFunc:
-    """Rational function num/den, den monic, gcd(num, den) = 1."""
-
-    __slots__ = ("num", "den")
-
-    def __init__(self, num, den=None):
-        if not isinstance(num, Poly):
-            num = Poly.constant(Fraction(num))
-        if den is None:
-            den = Poly.constant(Fraction(1))
-        elif not isinstance(den, Poly):
-            den = Poly.constant(Fraction(den))
-        if den.is_zero():
-            raise DivisionByZero("rational function with zero denominator")
-        if num.is_zero():
-            den = Poly.constant(Fraction(1))
-        elif den.degree == 0:
-            lead = den.lead
-            if lead != 1:
-                num = num * (Fraction(1) / lead)
-                den = Poly.constant(Fraction(1))
-        else:
-            g = _poly_gcd(num, den)
-            if g.degree > 0:
-                num, rn = num.divmod(g)
-                assert rn.is_zero()
-                den, rd = den.divmod(g)
-                assert rd.is_zero()
-            lead = den.lead
-            if lead != 1:
-                inv = Fraction(1) / lead
-                num = num * inv
-                den = den * inv
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
-
-    @classmethod
-    def _from_reduced(cls, num: Poly, den: Poly) -> "RatFunc":
-        """Bypass normalization for operands proven reduced and monic."""
-        obj = object.__new__(cls)
-        object.__setattr__(obj, "num", num)
-        object.__setattr__(obj, "den", den)
-        return obj
-
-    @staticmethod
-    def _coerce(other):
-        if isinstance(other, RatFunc):
-            return other
-        if isinstance(other, (int, Fraction, Poly)):
-            return RatFunc(other)
-        return None
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def is_one(self) -> bool:
-        return self.num == Poly.constant(Fraction(1)) and self.den == Poly.constant(
-            Fraction(1)
-        )
-
-    def integral(self) -> bool:
-        return self.den == Poly.constant(Fraction(1))
-
-    def __bool__(self):
-        return not self.is_zero()
-
-    def __eq__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __add__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        # Pre-divide by the denominators' common factor (within an
-        # elimination the denominators share most of their pivots), so
-        # the constructor's gcd sees near-coprime operands.
-        if self.den.degree > 0 and other.den.degree > 0:
-            g = _poly_gcd(self.den, other.den)
-            if g.degree > 0:
-                sd, _ = self.den.divmod(g)
-                od, _ = other.den.divmod(g)
-                return RatFunc(self.num * od + other.num * sd, sd * other.den)
-        return RatFunc(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        if self.is_zero() or other.is_zero():
-            return RatFunc(0)
-        # Cross-cancel num/den pairs: with both operands reduced, the
-        # result of cancelling gcd(a, d) and gcd(c, b) from (a/b)(c/d)
-        # is fully reduced with a monic denominator, so the costly
-        # constructor-level gcd can be skipped.
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if c.degree > 0 and b.degree > 0:
-            g = _poly_gcd(c, b)
-            if g.degree > 0:
-                c, _ = c.divmod(g)
-                b, _ = b.divmod(g)
-        if a.degree > 0 and d.degree > 0:
-            g = _poly_gcd(a, d)
-            if g.degree > 0:
-                a, _ = a.divmod(g)
-                d, _ = d.divmod(g)
-        return RatFunc._from_reduced(a * c, b * d)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero():
-            raise DivisionByZero("division by zero rational function")
-        if self.is_zero():
-            return RatFunc(0)
-        # (a/b) / (c/d) = (a*d) / (b*c); cancel gcd(a, c) and gcd(d, b),
-        # then rescale to make the denominator monic again.
-        a, b, c, d = self.num, self.den, other.num, other.den
-        if a.degree > 0 and c.degree > 0:
-            g = _poly_gcd(a, c)
-            if g.degree > 0:
-                a, _ = a.divmod(g)
-                c, _ = c.divmod(g)
-        if d.degree > 0 and b.degree > 0:
-            g = _poly_gcd(d, b)
-            if g.degree > 0:
-                d, _ = d.divmod(g)
-                b, _ = b.divmod(g)
-        num = a * d
-        den = b * c
-        lead = den.lead
-        if lead != 1:
-            inv = Fraction(1) / lead
-            num = num * inv
-            den = den * inv
-        return RatFunc._from_reduced(num, den)
-
-    def __rtruediv__(self, other):
-        other = RatFunc._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __repr__(self):
-        return f"RatFunc({self.num!r}, {self.den!r})"
-
-    def __str__(self):
-        if self.integral():
-            return str(self.num)
-        return f"({self.num})/({self.den})"
-
-
-# ---------------------------------------------------------------------------
-# per-ring adapters between ring elements and field elements
-
-
-class _IntAdapter:
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def lift(e):
-        return Fraction(e)
-
-    @staticmethod
-    def integral(f) -> bool:
-        return f.denominator == 1
-
-    @staticmethod
-    def lower(f):
-        return int(f)
-
-
-class _RatAdapter:
-    zero = Fraction(0)
-    one = Fraction(1)
-
-    @staticmethod
-    def lift(e):
-        return e
-
-    @staticmethod
-    def integral(f) -> bool:
-        return True
-
-    @staticmethod
-    def lower(f):
-        return f
-
-
-class _PolyAdapter:
-    zero = RatFunc(0)
-    one = RatFunc(1)
-
-    @staticmethod
-    def lift(e):
-        return RatFunc(e)
-
-    @staticmethod
-    def integral(f) -> bool:
-        return f.integral()
-
-    @staticmethod
-    def lower(f):
-        return f.num
-
-
-_ADAPTERS = {"int": _IntAdapter, "rat": _RatAdapter, "polyrat": _PolyAdapter}
-
-
-# ---------------------------------------------------------------------------
-# generic field linear algebra on lists of lists
-
-
-def _f_identity(ad, n):
-    return [[ad.one if i == j else ad.zero for j in range(n)] for i in range(n)]
-
-
-def _f_matmul(ad, a, b):
-    bn = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        new = []
-        for j in range(bn):
-            acc = ad.zero
-            for k, e in enumerate(row):
-                if e:
-                    acc = acc + e * b[k][j]
-            new.append(acc)
-        out.append(new)
-    return out
-
-
-def _f_eq(a, b) -> bool:
-    return all(x == y for ra, rb in zip(a, b) for x, y in zip(ra, rb))
-
-
-def _f_rref(ad, mat):
-    """Row-reduced echelon form; returns (rows, pivot_columns)."""
-    rows = [list(r) for r in mat]
-    m = len(rows)
-    n = len(rows[0]) if m else 0
-    pivots = []
-    lead_row = 0
-    for col in range(n):
-        pivot = None
-        for i in range(lead_row, m):
-            if rows[i][col]:
-                pivot = i
-                break
-        if pivot is None:
+        p = next((t for t in range(i, len(rows)) if rows[t][j]), None)
+        if p is None:
             continue
-        rows[lead_row], rows[pivot] = rows[pivot], rows[lead_row]
-        pv = rows[lead_row][col]
-        rows[lead_row] = [e / pv for e in rows[lead_row]]
-        for i in range(m):
-            if i != lead_row and rows[i][col]:
-                factor = rows[i][col]
-                rows[i] = [e - factor * p for e, p in zip(rows[i], rows[lead_row])]
-        pivots.append(col)
-        lead_row += 1
-        if lead_row == m:
-            break
-    return rows, pivots
+        rows[i], rows[p] = rows[p], rows[i]
+        order[i], order[p] = order[p], order[i]
+        pr = rows[i]
+        piv = pr[j]
+        for t, r in enumerate(rows):
+            if t == i:
+                continue
+            f = r[j]
+            for c, e in enumerate(r):
+                if e or (f and pr[c]):
+                    e = piv * e - f * pr[c]
+                    r[c] = e if d == one else ring.exact_div(e, d)
+        cols.append(j)
+        d = piv
+    return rows, cols, order[: len(cols)], d
 
 
-def _f_rank(ad, mat) -> int:
-    if not mat or not mat[0]:
-        return 0
-    return len(_f_rref(ad, mat)[1])
+def _take(x: Mat, rows, cols) -> Mat:
+    return Mat._raw(
+        x.ring, len(rows), len(cols), tuple(tuple(x.rows[i][j] for j in cols) for i in rows)
+    )
 
 
-def _f_inverse(ad, mat):
-    """Inverse of a square field matrix, or None if singular."""
-    n = len(mat)
-    if n == 0:
-        return []
-    aug = [list(row) + ident_row for row, ident_row in zip(mat, _f_identity(ad, n))]
-    red, pivots = _f_rref(ad, aug)
-    if pivots != list(range(n)):
+def _inverse_num(x: Mat):
+    """Elimination of [X | I] with pivots in X only: (rank, pivot columns,
+    pivot rows, N, d), where X^-1 == N / d when the rank is full."""
+    ring, n = x.ring, x.n
+    z, o = ring.zero, ring.one
+    aug = [list(row) + [o if i == j else z for j in range(n)] for i, row in enumerate(x.rows)]
+    rows, cols, prows, d = _rref_den(ring, aug, n)
+    num = Mat._raw(ring, n, n, tuple(tuple(r[n:]) for r in rows))
+    return len(cols), cols, prows, num, d
+
+
+def _group_num(x: Mat, cols, prows):
+    """(N, delta) with X^# == N / delta over the field, or None when X^#
+    does not exist there; cols and prows come from eliminating X."""
+    every = range(x.n)
+    c, r, m = _take(x, every, cols), _take(x, prows, every), _take(x, prows, cols)
+    rank_f, _, _, a, d = _inverse_num(r @ c)
+    if rank_f < len(cols):
         return None
-    return [row[n:] for row in red]
+    return c @ a @ m @ a @ r, d * d
 
 
-def _f_cr(ad, mat):
-    """CR factorization: mat = C @ R, C pivot columns, R rref rows."""
-    red, pivots = _f_rref(ad, mat)
-    r = len(pivots)
-    c = [[row[j] for j in pivots] for row in mat]
-    rr = red[:r]
-    return c, rr, r
+def _drazin_num(x: Mat):
+    """(k, (N, delta)) with X^D == N / delta of index k >= 2, for an X
+    that has no group inverse over the field."""
+    power = x
+    for k in range(2, x.n + 1):
+        power = power @ x
+        _, cols, prows, _ = _rref_den(x.ring, power.rows, x.n)
+        gk = _group_num(power, cols, prows)
+        if gk is not None:
+            return k, ((x ** (k - 1)) @ gk[0], gk[1])
+    raise InternalAssertion("oracle: power ranks failed to stabilize by n")
 
 
-def _f_group_inverse(ad, mat):
-    """Group inverse over the field, or None when it does not exist."""
-    n = len(mat)
-    if n == 0:
-        return []
-    c, r, rank = _f_cr(ad, mat)
-    if rank == 0:
-        return [[ad.zero] * n for _ in range(n)]
-    rc = _f_matmul(ad, r, c)
-    rc_inv = _f_inverse(ad, rc)
-    if rc_inv is None:
+def _verify(x: Mat, num: Mat, den, k: int) -> None:
+    """Drazin equations of index k for num / den, on the numerator form."""
+    xn = x @ num
+    pk = x ** k
+    # at k == 0, X N == delta I already gives N X N == delta N
+    if xn != num @ x or pk @ xn != pk.scale(den) or (k and num @ xn != num.scale(den)):
+        raise InternalAssertion(f"oracle Drazin inverse of index {k} failed its equations")
+
+
+def _lower(num: Mat, den):
+    """num / den as a ring matrix, or None when den does not divide every entry."""
+    ring = num.ring
+    try:
+        rows = tuple(tuple(ring.exact_div(e, den) for e in row) for row in num.rows)
+    except NotDivisible:
         return None
-    mid = _f_matmul(ad, rc_inv, rc_inv)
-    g = _f_matmul(ad, _f_matmul(ad, c, mid), r)
-    assert _f_eq(_f_matmul(ad, mat, g), _f_matmul(ad, g, mat))
-    assert _f_eq(_f_matmul(ad, _f_matmul(ad, g, mat), g), g)
-    assert _f_eq(_f_matmul(ad, _f_matmul(ad, mat, g), mat), mat)
-    return g
-
-
-def _f_drazin(ad, mat):
-    """(index, Drazin inverse) over the field; always exists."""
-    n = len(mat)
-    if n == 0:
-        return 0, []
-    prev = _f_identity(ad, n)
-    prev_rank = n
-    power = prev
-    k = 0
-    while True:
-        nxt = _f_matmul(ad, power, mat)
-        nxt_rank = _f_rank(ad, nxt)
-        if nxt_rank == prev_rank:
-            break
-        power = nxt
-        prev_rank = nxt_rank
-        k += 1
-    if k == 0:
-        inv = _f_inverse(ad, mat)
-        assert inv is not None
-        return 0, inv
-    # power == mat^k here and rank(mat^k) == rank(mat^(k+1))
-    gk = _f_group_inverse(ad, power)
-    assert gk is not None
-    km1 = _f_identity(ad, n)
-    for _ in range(k - 1):
-        km1 = _f_matmul(ad, km1, mat)
-    d = _f_matmul(ad, km1, gk)
-    # defining equations
-    assert _f_eq(_f_matmul(ad, mat, d), _f_matmul(ad, d, mat))
-    assert _f_eq(_f_matmul(ad, _f_matmul(ad, d, mat), d), d)
-    assert _f_eq(_f_matmul(ad, power, _f_matmul(ad, mat, d)), power)
-    return k, d
-
-
-# ---------------------------------------------------------------------------
-# the oracle
+    return Mat._raw(ring, num.m, num.n, rows)
 
 
 @dataclass(frozen=True)
@@ -489,21 +157,9 @@ class OracleReport:
     group_exists: bool          # over the fraction field
     group_integral: bool | None  # None when no field-level inverse
     group_ring: Mat | None      # ring-level value when it exists
-    group_field: list | None    # raw field value
     drazin_index: int
     drazin_integral: bool
     drazin_ring: Mat | None
-    drazin_field: list
-
-
-def _integral_matrix(ad, mat) -> bool:
-    return all(ad.integral(e) for row in mat for e in row)
-
-
-def _lower_matrix(ring, ad, mat, n) -> Mat:
-    if n == 0:
-        return Mat.zeros(ring, 0, 0)
-    return Mat.from_rows(ring, [[ad.lower(e) for e in row] for row in mat])
 
 
 def fraction_field_oracle(x: Mat) -> OracleReport:
@@ -512,37 +168,32 @@ def fraction_field_oracle(x: Mat) -> OracleReport:
     caller can compare against the ring-level decisions."""
     if not x.is_square():
         raise NotSquare("oracle input must be square")
-    ring = x.ring
-    ad = _ADAPTERS[ring.name]
-    n = x.n
-    lifted = [[ad.lift(e) for e in row] for row in x.rows]
-    rank = _f_rank(ad, lifted)
-    g = _f_group_inverse(ad, lifted)
-    if g is None:
-        group_exists = False
-        group_integral = None
-        group_ring = None
+    rank, cols, prows, num, den = _inverse_num(x)
+    if rank == x.n:
+        k, group = 0, (num, den)
     else:
-        group_exists = True
-        group_integral = _integral_matrix(ad, g)
-        if faults.active("oracle"):
-            group_integral = not group_integral
-        group_ring = _lower_matrix(ring, ad, g, n) if group_integral else None
-    k, d = _f_drazin(ad, lifted)
-    drazin_integral = _integral_matrix(ad, d)
+        k, group = 1, _group_num(x, cols, prows)
+    # X^# exists only at index 0 or 1, where it is X^D
+    if group is None:
+        k, (num, den) = _drazin_num(x)
+    else:
+        num, den = group
+    _verify(x, num, den, k)
+    drazin_ring = _lower(num, den)
+    drazin_integral = drazin_ring is not None
     if faults.active("oracle"):
         drazin_integral = not drazin_integral
-    drazin_ring = _lower_matrix(ring, ad, d, n) if drazin_integral else None
+    if not drazin_integral:
+        drazin_ring = None
+    group_integral = None if group is None else drazin_integral
     return OracleReport(
-        ring=ring.name,
-        n=n,
+        ring=x.ring.name,
+        n=x.n,
         rank=rank,
-        group_exists=group_exists,
+        group_exists=group is not None,
         group_integral=group_integral,
-        group_ring=group_ring,
-        group_field=g,
+        group_ring=drazin_ring if group_integral else None,
         drazin_index=k,
         drazin_integral=drazin_integral,
         drazin_ring=drazin_ring,
-        drazin_field=d,
     )

@@ -35,7 +35,7 @@ from .errors import (
     NotSquare,
 )
 from .matrix import Mat, block_diag, det, inverse_over_ring, split_blocks
-from .normal_forms import column_module_basis, rank, rank_factorization
+from .normal_forms import _rank_factorization_from, column_hermite, column_module_basis
 
 
 @dataclass(frozen=True)
@@ -57,11 +57,12 @@ class CoreSplit:
     r: int
 
 
-def _group_inverse_attempt(x: Mat):
-    """(result, failure) pair; exactly one is None."""
+def _group_inverse_attempt(x: Mat, hr=None):
+    """(result, failure) pair; exactly one is None.  hr, when given, is
+    the column Hermite form of x, which is then not computed again."""
     if not x.is_square():
         raise NotSquare(f"group inverse of a {x.m}x{x.n} matrix")
-    rf = rank_factorization(x)
+    rf = _rank_factorization_from(x, column_hermite(x) if hr is None else hr)
     try:
         core_inv = inverse_over_ring(rf.Rt @ rf.L)
     except NotInvertibleOverRing:
@@ -108,11 +109,13 @@ def drazin(x: Mat) -> DrazinResult:
     # X^m is group invertible over the ring, the Drazin inverse D lies in the
     # ring and D^k is a ring group inverse of X^k.
     powers = [Mat.identity(ring, n), x]
-    ranks = [n, rank(x)]
+    forms = [None, column_hermite(x)]
+    ranks = [n, len(forms[1].pivot_rows)]
     k = 1
     while ranks[k] != ranks[k - 1]:
         powers.append(powers[-1] @ x)
-        ranks.append(rank(powers[-1]))
+        forms.append(column_hermite(powers[-1]))
+        ranks.append(len(forms[-1].pivot_rows))
         k += 1
         if k > n + 1:
             raise InternalAssertion("power ranks failed to stabilize by n")
@@ -120,7 +123,7 @@ def drazin(x: Mat) -> DrazinResult:
     if k == 0:
         raise InternalAssertion("rank(X) == n for a matrix with zero det")
     power = powers[k]
-    res, failure = _group_inverse_attempt(power)
+    res, failure = _group_inverse_attempt(power, forms[k])
     if failure is not None:
         raise NotDrazinInvertible(
             f"no power X^k with k <= {n} is group invertible over {ring.name}"

@@ -271,13 +271,20 @@ def power_witness(a: Mat, b: Mat, c: Mat, s: int) -> SimilarityWitness:
     assumed, so a (C@A)-side failure at s == k surfaces as
     NotGroupInvertible.
     """
+    return _power_witness(a, b, c, s, None)
+
+
+def _power_witness(a: Mat, b: Mat, c: Mat, s: int, dr_ab) -> SimilarityWitness:
+    """power_witness, reusing the Drazin inverse dr_ab of A@B when the
+    caller already has it (None computes it)."""
     _validate_triple(a, b, c)
     if a @ b @ a != a @ c @ a:
         raise HypothesisViolated(
             "A@B@A != A@C@A", lhs=a @ b @ a, rhs=a @ c @ a
         )
-    dr = drazin(a @ b)  # may raise NotDrazinInvertible
-    k = dr.index
+    if dr_ab is None:
+        dr_ab = drazin(a @ b)  # may raise NotDrazinInvertible
+    k = dr_ab.index
     floor = max(k, 1)
     if s < floor:
         raise IndexTooSmall(
@@ -319,6 +326,12 @@ def cline_verify(a: Mat, b: Mat, c: Mat) -> bool:
     C @ [(A@B)^D]^2 @ A, and checks index(C@A) <= index(A@B) + 1.
     Returns the conjunction.
     """
+    return _cline(a, b, c)[0]
+
+
+def _cline(a: Mat, b: Mat, c: Mat):
+    """cline_verify's verdict with the two Drazin results it rests on:
+    (verdict, (A@B)^D result, (C@A)^D result)."""
     _validate_triple(a, b, c)
     if a @ b @ a != a @ c @ a:
         raise HypothesisViolated(
@@ -333,7 +346,8 @@ def cline_verify(a: Mat, b: Mat, c: Mat) -> bool:
             "C@A lost Drazin invertibility despite the exchange formula",
             instance=_instance_dump(a, b, c, "cline"),
         ) from exc
-    return dr_ca.dinv == candidate and dr_ca.index <= dr_ab.index + 1
+    ok = dr_ca.dinv == candidate and dr_ca.index <= dr_ab.index + 1
+    return ok, dr_ab, dr_ca
 
 
 def _variant_conditions(a: Mat, b: Mat, c: Mat, variant: str):

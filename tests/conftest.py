@@ -1,5 +1,8 @@
 """Shared test fixtures and the acceptance summary hook."""
 
+import collections
+import sys
+
 import pytest
 
 
@@ -17,3 +20,29 @@ def acceptance_lines(request):
     the terminal summary block after the test run."""
     request.config.acceptance_lines = lines = []
     return lines
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """count_calls((module, attribute), ...) wraps each library function
+    in a counter, rebinding every ``bezmat`` module's reference to it so
+    calls between modules are seen; returns the Counter, keyed by
+    attribute name."""
+    counts = collections.Counter()
+
+    def install(*targets):
+        for modname, attr in targets:
+            original = getattr(sys.modules[modname], attr)
+
+            def counted(*args, _attr=attr, _fn=original, **kwargs):
+                counts[_attr] += 1
+                return _fn(*args, **kwargs)
+
+            for name, mod in list(sys.modules.items()):
+                if name == "bezmat" or name.startswith("bezmat."):
+                    for binding, value in list(vars(mod).items()):
+                        if value is original:
+                            monkeypatch.setattr(mod, binding, counted)
+        return counts
+
+    return install

@@ -7,7 +7,6 @@ exit codes follow the documented contract: 0 success (including
 over the ring, 4 format/usage errors, 5 internal assertions.
 """
 
-import collections
 import json
 import subprocess
 import sys
@@ -15,7 +14,7 @@ import sys
 import pytest
 
 from bezmat.cli import main, run_argv
-from bezmat.generate import GenConfig, gen_flanders_triple
+from bezmat.generate import GenConfig, gen_drazin_triple, gen_flanders_triple
 from bezmat.io import dumps_doc, matrix_from_doc, matrix_to_doc
 from bezmat.matrix import Mat
 from bezmat.rings import ZZ
@@ -116,34 +115,39 @@ def test_ginv_and_drazin_docs(write_doc):
     assert matrix_from_doc(doc["dinv"]).is_zero()
 
 
-def test_witness_derives_each_inverse_once(write_doc, monkeypatch):
+def test_witness_derives_each_inverse_once(write_doc, count_calls):
     # X^#, Y^# and W^-1 come from the construction, X^D and Y^D one
     # attempt each, and no Smith form is needed anywhere
     cfg = GenConfig(ring="int", n=12, seed=12, entry_bound=9, core_rank=6)
     tr = gen_flanders_triple(cfg, c_equals_b=False)
     files = [write_doc(name, matrix_to_doc(m)) for name, m in zip("ABC", tr)]
-    counts = collections.Counter()
-    for modname, attr in (
+    counts = count_calls(
         ("bezmat.ginverse", "_group_inverse_attempt"),
         ("bezmat.matrix", "inverse_over_ring"),
         ("bezmat.normal_forms", "smith"),
-    ):
-        original = getattr(sys.modules[modname], attr)
-
-        def counted(*args, _attr=attr, _fn=original, **kwargs):
-            counts[_attr] += 1
-            return _fn(*args, **kwargs)
-
-        for name, mod in list(sys.modules.items()):
-            if name == "bezmat" or name.startswith("bezmat."):
-                for binding, value in list(vars(mod).items()):
-                    if value is original:
-                        monkeypatch.setattr(mod, binding, counted)
+    )
     code, doc = run_json(["witness", *files])
     assert code == 0 and doc["r1"] == 6 and all(doc["verified"].values())
     assert counts["_group_inverse_attempt"] <= 4
     assert counts["inverse_over_ring"] <= 12
     assert counts["smith"] == 0
+
+
+@pytest.mark.parametrize("verb,drazin_calls", [("verify-cline", 2), ("witness-power", 1)])
+def test_drazin_verbs_derive_each_inverse_once(write_doc, count_calls, verb, drazin_calls):
+    # verify-cline needs (A@B)^D and (C@A)^D; witness-power without --s
+    # needs (A@B)^D for both the default s and the witness
+    cfg = GenConfig(ring="int", n=10, seed=3, entry_bound=9, core_rank=4)
+    tr = gen_drazin_triple(cfg, 2, c_equals_b=False)
+    files = [write_doc(name, matrix_to_doc(m)) for name, m in zip("ABC", tr)]
+    counts = count_calls(("bezmat.ginverse", "drazin"))
+    code, doc = run_json([verb, *files])
+    assert code == 0
+    if verb == "verify-cline":
+        assert doc["verified"] is True and doc["index_ab"] == 2
+    else:
+        assert doc["s"] == 2 and doc["verified"] == {"power_product": True}
+    assert counts["drazin"] == drazin_calls
 
 
 def test_verify_true_and_false_both_exit_zero(write_doc):

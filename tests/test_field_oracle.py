@@ -1,18 +1,16 @@
-"""Fraction-field oracle: rational-function arithmetic and reports.
+"""Fraction-field oracle: reports on frozen matrices.
 
-The oracle must reach its answers by field-level echelon algebra only,
-so these tests freeze known answers (computed independently) and check
-the rational-function layer against brute-force reference arithmetic.
+The oracle must reach its answers by its own fraction-free elimination
+only, so these tests freeze known answers (computed independently).
 """
 
-import random
 from fractions import Fraction
 
 import pytest
 
 from bezmat import faults
-from bezmat.errors import DivisionByZero, NotSquare
-from bezmat.field_oracle import RatFunc, _poly_gcd, fraction_field_oracle
+from bezmat.errors import NotSquare
+from bezmat.field_oracle import fraction_field_oracle
 from bezmat.matrix import Mat
 from bezmat.rings import QQ, QQX, ZZ, Poly
 
@@ -26,138 +24,6 @@ def poly(*coeffs):
 
 
 X = Poly.x()
-ONE = Poly.constant(Fraction(1))
-ZEROP = Poly.constant(Fraction(0))
-
-
-# ---------------------------------------------------------------------------
-# polynomial gcd
-# ---------------------------------------------------------------------------
-
-
-def test_poly_gcd_planted_factor():
-    common = X - 1
-    a = common * (X + 2)
-    b = common * (X + 3)
-    assert _poly_gcd(a, b) == common
-
-
-def test_poly_gcd_monic_result():
-    a = poly(0, 0, 4)  # 4x^2
-    b = poly(0, 6)  # 6x
-    assert _poly_gcd(a, b) == X
-
-
-def test_poly_gcd_zero_edges():
-    p = poly(2, 2)  # 2x + 2
-    assert _poly_gcd(p, ZEROP) == X + 1
-    assert _poly_gcd(ZEROP, p) == X + 1
-    assert _poly_gcd(ZEROP, ZEROP).is_zero()
-
-
-def test_poly_gcd_coprime_gives_constant():
-    g = _poly_gcd(X + 1, X + 2)
-    assert g.degree == 0
-
-
-def test_poly_gcd_rational_coefficients():
-    # denominators must not break the integer pseudo-remainder sequence
-    a = (X + Poly.constant(Fraction(1, 2))) * (X - 1)
-    b = (X + Poly.constant(Fraction(1, 2))) * (X + 5)
-    g = _poly_gcd(a, b)
-    assert g == X + Poly.constant(Fraction(1, 2))
-
-
-def test_poly_gcd_matches_reference_euclid():
-    # reference: classical monic remainder sequence over the rationals
-    def ref_gcd(a, b):
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        if a.is_zero():
-            return a
-        return a * (Fraction(1) / a.lead)
-
-    rng = random.Random(20260817)
-
-    def rand_poly(max_deg):
-        deg = rng.randrange(max_deg + 1)
-        coeffs = [Fraction(rng.randint(-6, 6), rng.randint(1, 3)) for _ in range(deg)]
-        coeffs.append(Fraction(rng.randint(1, 6)))
-        return Poly(coeffs)
-
-    for _ in range(120):
-        a, b = rand_poly(4), rand_poly(3)
-        if rng.random() < 0.5:
-            c = rand_poly(2)
-            a, b = a * c, b * c
-        assert _poly_gcd(a, b) == ref_gcd(a, b)
-
-
-# ---------------------------------------------------------------------------
-# rational functions
-# ---------------------------------------------------------------------------
-
-
-def test_ratfunc_normalizes_to_monic_reduced():
-    r = RatFunc(poly(0, 2), poly(0, 0, 4))  # 2x / 4x^2
-    assert r.num == Poly.constant(Fraction(1, 2))
-    assert r.den == X
-    assert not r.integral()
-
-
-def test_ratfunc_zero_and_constants():
-    z = RatFunc(0)
-    assert z.is_zero() and z.integral()
-    half = RatFunc(poly(1), poly(2))
-    assert half.num == Poly.constant(Fraction(1, 2)) and half.den == ONE
-    assert half.integral()
-    with pytest.raises(DivisionByZero):
-        RatFunc(ONE, ZEROP)
-
-
-def test_ratfunc_division_by_zero():
-    with pytest.raises(DivisionByZero):
-        RatFunc(ONE, X) / RatFunc(0)
-
-
-def test_ratfunc_invariants_after_arithmetic():
-    a = RatFunc(X + 1, X * X)
-    b = RatFunc(X, X + 1)
-    for r in (a + b, a - b, a * b, a / b):
-        assert r.den.lead == 1
-        if not r.num.is_zero():
-            assert _poly_gcd(r.num, r.den).degree == 0
-
-
-def test_ratfunc_arithmetic_matches_reference():
-    # reference: cross-multiplied construction, normalized by RatFunc itself
-    rng = random.Random(99)
-
-    def rand_poly(max_deg, nonzero=False):
-        deg = rng.randrange(max_deg + 1)
-        coeffs = [Fraction(rng.randint(-5, 5)) for _ in range(deg + 1)]
-        p = Poly(coeffs)
-        if nonzero and p.is_zero():
-            return ONE
-        return p
-
-    for _ in range(150):
-        a = RatFunc(rand_poly(3), rand_poly(2, nonzero=True))
-        b = RatFunc(rand_poly(3), rand_poly(2, nonzero=True))
-        assert a + b == RatFunc(a.num * b.den + b.num * a.den, a.den * b.den)
-        assert a - b == RatFunc(a.num * b.den - b.num * a.den, a.den * b.den)
-        assert a * b == RatFunc(a.num * b.num, a.den * b.den)
-        if not b.is_zero():
-            assert a / b == RatFunc(a.num * b.den, a.den * b.num)
-
-
-def test_ratfunc_coercion_and_equality():
-    r = RatFunc(X)
-    assert r + 1 == RatFunc(X + 1)
-    assert r * Fraction(1, 2) == RatFunc(X) * RatFunc(poly(1), poly(2))
-    assert (r == object()) is False or True  # NotImplemented falls back
-    assert RatFunc(poly(3)) == RatFunc(Poly.constant(Fraction(6)), poly(2))
 
 
 # ---------------------------------------------------------------------------
@@ -240,6 +106,39 @@ def test_oracle_polynomial_ring():
     assert repn.drazin_index == 2
     assert repn.drazin_integral
     assert repn.drazin_ring == Mat.zeros(QQX, 2, 2)
+
+
+def test_oracle_polynomial_non_monic_pivot():
+    # X = u v^T with u = (x, 1), v = (3/2, -3/2 x + 2/3): X @ X == (2/3) X,
+    # so X^# == X / (2/3)^2 == 9/4 X; the first pivot 3/2 x is not monic
+    q = Fraction
+    x = Mat.from_rows(QQX, [
+        [poly(0, q(3, 2)), poly(0, q(2, 3), q(-3, 2))],
+        [poly(q(3, 2)), poly(q(2, 3), q(-3, 2))],
+    ])
+    rep = fraction_field_oracle(x)
+    assert rep.rank == 1
+    assert rep.group_exists and rep.group_integral
+    assert rep.group_ring == Mat.from_rows(QQX, [
+        [poly(0, q(27, 8)), poly(0, q(3, 2), q(-27, 8))],
+        [poly(q(27, 8)), poly(q(3, 2), q(-27, 8))],
+    ])
+    assert rep.drazin_index == 1
+    assert rep.drazin_integral and rep.drazin_ring == rep.group_ring
+
+
+def test_oracle_polynomial_index_two_not_polynomial():
+    # P diag(x, [[0, 1], [0, 0]]) P^-1: X^D == P diag(1/x, 0, 0) P^-1
+    p = Mat.from_rows(QQX, [[1, 0, 0], [X, 1, 0], [2, 0, 1]])
+    pinv = Mat.from_rows(QQX, [[1, 0, 0], [-X, 1, 0], [-2, 0, 1]])
+    core = Mat.from_rows(QQX, [[X, 0, 0], [0, 0, 1], [0, 0, 0]])
+    rep = fraction_field_oracle(p @ core @ pinv)
+    assert rep.rank == 2
+    assert rep.group_exists is False
+    assert rep.group_integral is None and rep.group_ring is None
+    assert rep.drazin_index == 2
+    assert rep.drazin_integral is False
+    assert rep.drazin_ring is None
 
 
 def test_oracle_fault_flips_integrality():

@@ -18,7 +18,7 @@ from bezmat.errors import (
     NotSquare,
 )
 from bezmat.field_oracle import fraction_field_oracle
-from bezmat.generate import GenConfig, gen_group_invertible
+from bezmat.generate import GenConfig, gen_drazin_triple, gen_group_invertible
 from bezmat.ginverse import (
     core_split,
     drazin,
@@ -203,6 +203,17 @@ def test_drazin_unit_determinant_is_plain_inverse():
     assert res.dinv == inverse_over_ring(x)
 
 
+def test_drazin_computes_each_hermite_form_once(count_calls):
+    # index 2: the forms of X, X^2 and X^3 decide the index, and the one
+    # of X^2 also gives the rank factorization behind (X^2)^#
+    cfg = GenConfig(ring="int", n=10, seed=3, entry_bound=9, core_rank=4)
+    tr = gen_drazin_triple(cfg, 2, c_equals_b=False)
+    counts = count_calls(("bezmat.normal_forms", "column_hermite"))
+    res = drazin(tr.A @ tr.B)
+    assert res.index == 2
+    assert counts["column_hermite"] <= 3
+
+
 def test_drazin_nonunit_determinant_rejected_over_int():
     x = mat([[2, 0], [0, 1]])
     with pytest.raises(NotDrazinInvertible):
@@ -344,10 +355,7 @@ small_int_matrix = st.integers(min_value=2, max_value=3).flatmap(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(rows=small_int_matrix)
-def test_ring_results_agree_with_field_oracle(rows):
-    x = mat(rows)
+def check_agrees_with_oracle(x):
     report = fraction_field_oracle(x)
     ring_group = is_group_invertible(x)
     assert ring_group == (report.group_exists and bool(report.group_integral))
@@ -363,3 +371,33 @@ def test_ring_results_agree_with_field_oracle(rows):
         assert res.index == report.drazin_index
         assert res.dinv == report.drazin_ring
         check_drazin_equations(x, res)
+
+
+@settings(max_examples=60, deadline=None)
+@given(rows=small_int_matrix)
+def test_ring_results_agree_with_field_oracle(rows):
+    check_agrees_with_oracle(mat(rows))
+
+
+# Random matrices are almost always invertible over the field, so the
+# singular path of the oracle is fed on purpose: X = H diag(M, 0) H^-1
+# with M unimodular (X^# is polynomial), x X (whose group inverse X^# / x
+# is not), and products from Drazin triples of index 2.
+@pytest.mark.parametrize(
+    "n,r", [(n, r) for n in range(2, 6) for r in range(1, n)]
+)
+@pytest.mark.parametrize("scale", [1, Poly.x()], ids=["X", "xX"])
+def test_singular_polyrat_agrees_with_field_oracle(n, r, scale):
+    cfg = GenConfig(ring="polyrat", n=n, seed=70 * n + r, entry_bound=2, core_rank=r)
+    x = gen_group_invertible(cfg).scale(scale)
+    assert fraction_field_oracle(x).rank == r
+    check_agrees_with_oracle(x)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_index_two_polyrat_agrees_with_field_oracle(n):
+    cfg = GenConfig(ring="polyrat", n=n, seed=90 + n, entry_bound=2, core_rank=n - 2)
+    tr = gen_drazin_triple(cfg, 2, c_equals_b=False)
+    assert fraction_field_oracle(tr.A @ tr.B).drazin_index == 2
+    check_agrees_with_oracle(tr.A @ tr.B)
+    check_agrees_with_oracle(tr.C @ tr.A)
