@@ -44,18 +44,18 @@ from .ginverse import drazin, group_inverse
 from .io import dumps_doc, load_matrix, matrix_to_doc, witness_to_doc
 from .matrix import Mat
 from .normal_forms import column_hermite, rank, smith
+from .rings import RINGS
 from .similarity import (
+    _MODES,
     VARIANTS,
     _cline,
     _conjugations,
+    _instance_dump,
     _power_witness,
     corollary_check,
     similarity_witness,
     verify_witness,
 )
-
-WITNESS_MODES = ("product", "ginv", "projector", "core")
-RING_NAMES = ("int", "rat", "polyrat")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -132,7 +132,7 @@ def build_parser() -> _Parser:
     p.add_argument("b", metavar="B")
     p.add_argument("c", metavar="C")
     p.add_argument("w", metavar="W")
-    p.add_argument("--mode", choices=WITNESS_MODES, default="product")
+    p.add_argument("--mode", choices=_MODES, default="product")
 
     p = sub.add_parser(
         "verify-cline",
@@ -169,7 +169,7 @@ def build_parser() -> _Parser:
         "with prescribed index of A*B; corollary-false: triple engineered "
         "to fail named conditions",
     )
-    p.add_argument("--ring", choices=RING_NAMES, default="int")
+    p.add_argument("--ring", choices=tuple(RINGS), default="int")
     p.add_argument("--n", type=int, default=3, help="matrix size")
     p.add_argument("--seed", type=int, default=0, help="64-bit generator seed")
     p.add_argument("--entry-bound", type=int, default=9, help="entry magnitude / degree bound")
@@ -198,24 +198,15 @@ def _load_triple(args):
     return load_matrix(args.a), load_matrix(args.b), load_matrix(args.c)
 
 
-def _triple_dump(a: Mat, b: Mat, c: Mat, stage: str) -> dict:
-    return {
-        "stage": stage,
-        "A": matrix_to_doc(a),
-        "B": matrix_to_doc(b),
-        "C": matrix_to_doc(c),
-    }
-
-
 def _reverified_witness_doc(a, b, c, wit) -> dict:
     """Re-check every conjugation identity for a fresh witness; refuse to
     print a witness that does not verify."""
-    ver = _conjugations(a, b, c, wit.W, wit.Winv, WITNESS_MODES, wit.Xginv, wit.Yginv)
+    ver = _conjugations(a, b, c, wit.W, wit.Winv, _MODES, wit.Xginv, wit.Yginv)
     if not all(ver.values()):
         failed = [m for m, ok in ver.items() if not ok]
         raise InternalAssertion(
             f"produced witness failed re-verification in mode(s) {failed}",
-            instance=_triple_dump(a, b, c, "cli re-verification"),
+            instance=_instance_dump(a, b, c, "cli re-verification"),
         )
     return witness_to_doc(wit, ver)
 
@@ -282,7 +273,7 @@ def _cmd_witness_power(args) -> dict:
     if not ok:
         raise InternalAssertion(
             f"produced power witness failed re-verification at s={s}",
-            instance=_triple_dump(a, b, c, "cli re-verification (power)"),
+            instance=_instance_dump(a, b, c, "cli re-verification (power)"),
         )
     doc = witness_to_doc(wit, {"power_product": True})
     doc["s"] = s

@@ -49,12 +49,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import GenerationExhausted
+from .errors import GenerationExhausted, InternalAssertion, NotDrazinInvertible
 from .ginverse import drazin, is_group_invertible
 from .matrix import Mat, block_diag, inverse_over_ring
 from .normal_forms import left_kernel_basis, right_kernel_basis
 from .rings import Poly, get_ring
-from .errors import NotDrazinInvertible
 
 _RETRY_BUDGET = 64
 
@@ -248,7 +247,8 @@ def gen_flanders_triple(cfg: GenConfig, c_equals_b: bool) -> GeneratedTriple:
             c = b
         else:
             c = b + _perturbation(ring, rng, a, cfg.entry_bound)
-        assert a @ b @ a == a @ c @ a
+        if a @ b @ a != a @ c @ a:
+            raise InternalAssertion("perturbation broke A@B@A == A@C@A")
         if is_group_invertible(a @ b) and is_group_invertible(c @ a):
             return GeneratedTriple(A=a, B=b, C=c, retries=retries)
     raise GenerationExhausted(
@@ -289,9 +289,11 @@ def gen_drazin_triple(cfg: GenConfig, k: int, c_equals_b: bool) -> GeneratedTrip
             c = b
         else:
             c = b + _perturbation(ring, rng, a, cfg.entry_bound)
-        assert a @ b @ a == a @ c @ a
+        if a @ b @ a != a @ c @ a:
+            raise InternalAssertion("perturbation broke A@B@A == A@C@A")
         dr = drazin(a @ b)
-        assert dr.index == k, "chain construction must give ind(A@B) == k"
+        if dr.index != k:
+            raise InternalAssertion("chain construction must give ind(A@B) == k")
         try:
             ca_index = drazin(c @ a).index
         except NotDrazinInvertible:

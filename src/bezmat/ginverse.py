@@ -1,23 +1,28 @@
 """Group and Drazin inverses over the ring, with split certificates.
 
-Group inverse existence is decided by the factor criterion: with any
-full-rank factorization X == L @ Rt, the r x r matrix Rt @ L is
-invertible over the ring.  (It is equivalent to the module criterion,
-that the column module of X equals that of X @ X; the test suite checks
-the two against each other.)  When the inverse exists it is
-L @ (Rt @ L)^-2 @ Rt, and the three defining equations are re-verified
-before returning:
+One index search decides both.  It takes det(X) first: a unit gives
+index 0 and X^D == X^-1; a nonzero non-unit leaves X^-1, the only
+fraction-field candidate, outside the ring.  For a singular X it walks
+k = 1, 2, ...: X^k @ T == H (column Hermite form) gives X^k == L @ Rt,
+L the r nonzero columns of H, and the core Rt @ L decides the power.
 
-    X @ G == G @ X,   G @ X @ G == G,   X @ G @ X == X.
+  * det(Rt @ L) == 0 exactly when rank(X^2k) < rank(X^k): k is below
+    the index, so the search moves on to X^(k+1).
+  * Otherwise k is the index over the fraction field, and X^D is
+    integral exactly when Rt @ L is unimodular, since its inverse is
+    Rt @ (X^k)^# @ T[:, :r].  Then X^D == X^(k-1) @ L @ (Rt @ L)^-2 @ Rt.
 
-Drazin index over the ring: the matrix is invertible (index 0), or the
-least k in 1..n with X^k group invertible is the index and
-X^D == X^(k-1) @ (X^k)^#.  The bound k <= n is justified by passage to
-the fraction field: if X^D exists over the ring it is the unique
-fraction-field Drazin inverse, whose index is at most n (ranks of
-powers strictly decrease until they stabilize); and then X^(index) is
-group invertible over the ring because its group inverse is a product
-of ring matrices.  So if no power up to n works, none does.
+The group inverse is the case k <= 1: X^# exists exactly when the
+search ends at k <= 1, and is then X^D.  (This factor criterion is
+equivalent to the module criterion, that X and X @ X have one column
+module; the test suite checks the two against each other.)  Each result
+is verified by the Drazin equations, which at k == 1 are the three
+group-inverse equations,
+
+    X @ D == D @ X,   D @ X @ D == D,   X^(k+1) @ D == X^k,
+
+and for k >= 2 by minimality, X^k @ D != X^(k-1); at index 0 the
+inversion checks itself.  A singular n x n matrix has index at most n.
 Conventions: the zero matrix has index 1 and inverse 0; a 0 x 0 matrix
 is invertible with index 0.
 """
@@ -35,7 +40,7 @@ from .errors import (
     NotSquare,
 )
 from .matrix import Mat, block_diag, det, inverse_over_ring, split_blocks
-from .normal_forms import _rank_factorization_from, column_hermite, column_module_basis
+from .normal_forms import column_module_basis, rank_factorization
 
 
 @dataclass(frozen=True)
@@ -57,23 +62,60 @@ class CoreSplit:
     r: int
 
 
-def _group_inverse_attempt(x: Mat, hr=None):
-    """(result, failure) pair; exactly one is None.  hr, when given, is
-    the column Hermite form of x, which is then not computed again."""
+def _index_search(x: Mat, last: int):
+    """Drazin result of the square x when its index is at most last, else
+    None; raises NotDrazinInvertible when no ring Drazin inverse exists."""
+    ring = x.ring
+    d = det(x)
+    if ring.is_unit(d):
+        return DrazinResult(index=0, dinv=inverse_over_ring(x))
+    if d != ring.zero:
+        # Invertible over the fraction field, so the unique Drazin inverse
+        # there is X^-1; det(X) * det(X^-1) = 1 would force det(X) to be a
+        # unit if X^-1 had ring entries.  No ring Drazin inverse exists.
+        raise NotDrazinInvertible(
+            f"det is nonzero but not a unit of {ring.name}: the only Drazin "
+            "candidate is the fraction-field inverse, which leaves the ring"
+        )
+    prev, power = None, x  # X^(k-1) (None for the identity) and X^k
+    for k in range(1, last + 1):
+        if k > 1:
+            prev, power = power, power @ x
+        rf = rank_factorization(power)
+        try:
+            core_inv = inverse_over_ring(rf.Rt @ rf.L)
+        except NotInvertibleOverRing as exc:
+            if exc.det == ring.zero:
+                continue
+            raise NotDrazinInvertible(
+                f"no power X^k with k <= {x.n} is group invertible over {ring.name}"
+            ) from exc
+        dinv = rf.L @ core_inv @ core_inv @ rf.Rt
+        if prev is not None:
+            dinv = prev @ dinv
+        xd = x @ dinv
+        if xd != dinv @ x or dinv @ xd != dinv or power @ xd != power:
+            raise InternalAssertion("Drazin candidate failed its equations")
+        if prev is not None and power @ dinv == prev:
+            raise InternalAssertion(f"Drazin index {k} is not minimal for this matrix")
+        return DrazinResult(index=k, dinv=dinv)
+    return None
+
+
+def _group_inverse_attempt(x: Mat):
+    """(result, failure) pair; exactly one is None."""
     if not x.is_square():
         raise NotSquare(f"group inverse of a {x.m}x{x.n} matrix")
-    rf = _rank_factorization_from(x, column_hermite(x) if hr is None else hr)
     try:
-        core_inv = inverse_over_ring(rf.Rt @ rf.L)
-    except NotInvertibleOverRing:
+        res = _index_search(x, 1)
+    except NotDrazinInvertible:
+        res = None
+    if res is None:
         return None, NotGroupInvertible(
             "column module of X differs from that of X@X and Rt@L is not "
             "invertible over the ring"
         )
-    g = rf.L @ core_inv @ core_inv @ rf.Rt
-    if x @ g != g @ x or g @ x @ g != g or x @ g @ x != x:
-        raise InternalAssertion("group inverse candidate failed its equations")
-    return GroupInverseResult(ginv=g), None
+    return GroupInverseResult(ginv=res.dinv), None
 
 
 def is_group_invertible(x: Mat) -> bool:
@@ -91,53 +133,10 @@ def group_inverse(x: Mat) -> GroupInverseResult:
 def drazin(x: Mat) -> DrazinResult:
     if not x.is_square():
         raise NotSquare(f"Drazin inverse of a {x.m}x{x.n} matrix")
-    ring = x.ring
-    n = x.n
-    d = det(x)
-    if ring.is_unit(d):
-        return DrazinResult(index=0, dinv=inverse_over_ring(x))
-    if d != ring.zero:
-        # Invertible over the fraction field, so the unique Drazin inverse
-        # there is X^-1; det(X) * det(X^-1) = 1 would force det(X) to be a
-        # unit if X^-1 had ring entries.  No ring Drazin inverse exists.
-        raise NotDrazinInvertible(
-            f"det is nonzero but not a unit of {ring.name}: the only Drazin "
-            "candidate is the fraction-field inverse, which leaves the ring"
-        )
-    # Singular: the index is where the rank of successive powers stabilizes.
-    # It suffices to test group invertibility at that single power k: if any
-    # X^m is group invertible over the ring, the Drazin inverse D lies in the
-    # ring and D^k is a ring group inverse of X^k.
-    powers = [Mat.identity(ring, n), x]
-    forms = [None, column_hermite(x)]
-    ranks = [n, len(forms[1].pivot_rows)]
-    k = 1
-    while ranks[k] != ranks[k - 1]:
-        powers.append(powers[-1] @ x)
-        forms.append(column_hermite(powers[-1]))
-        ranks.append(len(forms[-1].pivot_rows))
-        k += 1
-        if k > n + 1:
-            raise InternalAssertion("power ranks failed to stabilize by n")
-    k -= 1
-    if k == 0:
-        raise InternalAssertion("rank(X) == n for a matrix with zero det")
-    power = powers[k]
-    res, failure = _group_inverse_attempt(power, forms[k])
-    if failure is not None:
-        raise NotDrazinInvertible(
-            f"no power X^k with k <= {n} is group invertible over {ring.name}"
-        )
-    dinv = powers[k - 1] @ res.ginv
-    if (
-        x @ dinv != dinv @ x
-        or dinv @ x @ dinv != dinv
-        or power @ x @ dinv != power
-    ):
-        raise InternalAssertion("Drazin candidate failed its equations")
-    if power @ dinv == powers[k - 1]:
-        raise InternalAssertion(f"Drazin index {k} is not minimal for this matrix")
-    return DrazinResult(index=k, dinv=dinv)
+    res = _index_search(x, x.n)
+    if res is None:
+        raise InternalAssertion("power ranks failed to stabilize by n")
+    return res
 
 
 def idempotent_split(e: Mat) -> Mat:

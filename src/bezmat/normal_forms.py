@@ -360,11 +360,7 @@ def rank_factorization(a: Mat) -> RankFactorization:
     L is the nonzero columns of the column Hermite form A @ T == H, and
     Rt solves L @ Rt == A, which makes it the top r rows of T^-1.
     """
-    return _rank_factorization_from(a, column_hermite(a))
-
-
-def _rank_factorization_from(a: Mat, hr: HermiteResult) -> RankFactorization:
-    """rank_factorization of a, given its column Hermite form hr."""
+    hr = column_hermite(a)
     r = len(hr.pivot_rows)
     L = hr.H.submatrix(0, a.m, 0, r)
     Rt = _echelon_solve(hr, a)

@@ -89,6 +89,19 @@ def _validate_triple(a: Mat, b: Mat, c: Mat):
         raise DimensionMismatch("similarity inputs must share one shape")
 
 
+def _shared_products(a: Mat, b: Mat, c: Mat):
+    """(A@B, C@A) of a valid triple with A@B@A == A@C@A; raises
+    HypothesisViolated, carrying both sides, otherwise."""
+    _validate_triple(a, b, c)
+    x = a @ b
+    y = c @ a
+    aba = x @ a
+    aca = a @ y
+    if aba != aca:
+        raise HypothesisViolated("A@B@A != A@C@A", lhs=aba, rhs=aca)
+    return x, y
+
+
 def check_hypotheses(a: Mat, b: Mat, c: Mat) -> HypothesisReport:
     """Evaluate the base hypotheses without raising."""
     _validate_triple(a, b, c)
@@ -116,14 +129,7 @@ def _instance_dump(a: Mat, b: Mat, c: Mat, stage: str):
 
 def similarity_witness(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
     """Construct and verify W with A@B == W @ (C@A) @ W^-1."""
-    _validate_triple(a, b, c)
-    x = a @ b
-    y = c @ a
-    aba = x @ a
-    aca = a @ y
-    if aba != aca:
-        raise HypothesisViolated("A@B@A != A@C@A", lhs=aba, rhs=aca)
-
+    x, y = _shared_products(a, b, c)
     res_x, fail_x = _group_inverse_attempt(x)
     if fail_x is not None:
         fail_x.side = "AB"
@@ -223,8 +229,8 @@ def _conjugations(a, b, c, w, winv, modes, xg=None, yg=None) -> dict:
     """{mode: verify_witness(a, b, c, w, mode)} given W^-1.
 
     Each group or Drazin inverse is computed at most once for all the
-    modes, and the group inverses of X = A@B and Y = C@A not at all when
-    xg and yg are given.
+    modes, and none at all when the group inverses xg of X = A@B and yg
+    of Y = C@A are given: they are then also X^D and Y^D.
     """
     x = a @ b
     y = c @ a
@@ -232,14 +238,19 @@ def _conjugations(a, b, c, w, winv, modes, xg=None, yg=None) -> dict:
     for mode in modes:
         if mode == "product":
             lhs, rhs = x, y
-        elif mode == "core":
+        elif mode == "core" and xg is None:
             lhs = x @ x @ drazin(x).dinv
             rhs = y @ y @ drazin(y).dinv
         else:
             if xg is None:
                 xg = group_inverse(x).ginv
                 yg = group_inverse(y).ginv
-            lhs, rhs = (xg, yg) if mode == "ginv" else (x @ xg, y @ yg)
+            if mode == "ginv":
+                lhs, rhs = xg, yg
+            elif mode == "projector":
+                lhs, rhs = x @ xg, y @ yg
+            else:
+                lhs, rhs = x @ x @ xg, y @ y @ yg
         ver[mode] = lhs == w @ rhs @ winv
     return ver
 
@@ -277,24 +288,18 @@ def power_witness(a: Mat, b: Mat, c: Mat, s: int) -> SimilarityWitness:
 def _power_witness(a: Mat, b: Mat, c: Mat, s: int, dr_ab) -> SimilarityWitness:
     """power_witness, reusing the Drazin inverse dr_ab of A@B when the
     caller already has it (None computes it)."""
-    _validate_triple(a, b, c)
-    if a @ b @ a != a @ c @ a:
-        raise HypothesisViolated(
-            "A@B@A != A@C@A", lhs=a @ b @ a, rhs=a @ c @ a
-        )
+    x, y = _shared_products(a, b, c)
     if dr_ab is None:
-        dr_ab = drazin(a @ b)  # may raise NotDrazinInvertible
+        dr_ab = drazin(x)  # may raise NotDrazinInvertible
     k = dr_ab.index
     floor = max(k, 1)
     if s < floor:
         raise IndexTooSmall(
             f"s={s} is below max(index, 1)={floor}", s=s, index=k
         )
-    ab_pow = (a @ b) ** (s - 1)
-    ca_pow = (c @ a) ** (s - 1)
-    b2 = b @ ab_pow
-    c2 = ca_pow @ c
-    if a @ b2 != (a @ b) ** s or c2 @ a != (c @ a) ** s:
+    b2 = b @ x ** (s - 1)
+    c2 = y ** (s - 1) @ c
+    if a @ b2 != x ** s or c2 @ a != y ** s:
         raise InternalAssertion(
             "power reduction identities failed",
             instance=_instance_dump(a, b, c, f"power-reduce s={s}"),
@@ -332,15 +337,11 @@ def cline_verify(a: Mat, b: Mat, c: Mat) -> bool:
 def _cline(a: Mat, b: Mat, c: Mat):
     """cline_verify's verdict with the two Drazin results it rests on:
     (verdict, (A@B)^D result, (C@A)^D result)."""
-    _validate_triple(a, b, c)
-    if a @ b @ a != a @ c @ a:
-        raise HypothesisViolated(
-            "A@B@A != A@C@A", lhs=a @ b @ a, rhs=a @ c @ a
-        )
-    dr_ab = drazin(a @ b)  # may raise NotDrazinInvertible
+    x, y = _shared_products(a, b, c)
+    dr_ab = drazin(x)  # may raise NotDrazinInvertible
     candidate = c @ (dr_ab.dinv @ dr_ab.dinv) @ a
     try:
-        dr_ca = drazin(c @ a)
+        dr_ca = drazin(y)
     except NotDrazinInvertible as exc:
         raise InternalAssertion(
             "C@A lost Drazin invertibility despite the exchange formula",
@@ -385,14 +386,10 @@ def corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
     full report.  The cor24 variant checks its stated equalities but,
     like the others, certifies A@B similar to C@A.
     """
-    _validate_triple(a, b, c)
-    aba = a @ b @ a
-    aca = a @ c @ a
-    if aba != aca:
-        raise HypothesisViolated("A@B@A != A@C@A", lhs=aba, rhs=aca)
+    x, y = _shared_products(a, b, c)
     conditions = _variant_conditions(a, b, c, variant)
-    res_x, _ = _group_inverse_attempt(a @ b)
-    res_y, _ = _group_inverse_attempt(c @ a)
+    res_x, _ = _group_inverse_attempt(x)
+    res_y, _ = _group_inverse_attempt(y)
     report = HypothesisReport(
         aba_equals_aca=True,
         ab_group_invertible=res_x is not None,

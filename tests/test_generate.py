@@ -7,7 +7,7 @@ of the generator can be validated against the same constants.
 
 import pytest
 
-from bezmat.errors import ConditionNotMet
+from bezmat.errors import ConditionNotMet, InternalAssertion
 from bezmat.generate import (
     GenConfig,
     GeneratedTriple,
@@ -21,7 +21,7 @@ from bezmat.generate import (
     random_unimodular,
 )
 from bezmat.ginverse import drazin, is_group_invertible
-from bezmat.matrix import det
+from bezmat.matrix import Mat, det
 from bezmat.normal_forms import rank
 from bezmat.rings import get_ring
 from bezmat.similarity import VARIANTS, corollary_check
@@ -121,6 +121,26 @@ def test_gen_drazin_triple_index_is_exact(k):
     assert a @ b @ a == a @ c @ a
     assert drazin(a @ b).index == k
     assert drazin(c @ a).index <= max(k, 1)
+
+
+def test_generator_self_checks_survive_optimized_mode(monkeypatch):
+    # the generators check their own constructions with exceptions, not
+    # assert statements, so the checks also run under python -O
+    from bezmat import generate
+    from bezmat.ginverse import DrazinResult
+
+    cfg = GenConfig(ring="int", n=4, seed=1, core_rank=1, entry_bound=4)
+    with monkeypatch.context() as m:
+        m.setattr(generate, "drazin", lambda x: DrazinResult(index=5, dinv=x))
+        with pytest.raises(InternalAssertion, match="ind"):
+            gen_drazin_triple(cfg, 2, c_equals_b=False)
+    monkeypatch.setattr(
+        generate, "_perturbation", lambda ring, rng, a, bound: Mat.identity(ring, a.n)
+    )
+    with pytest.raises(InternalAssertion, match="perturbation"):
+        gen_flanders_triple(GenConfig(ring="int", n=4, seed=1, core_rank=2), False)
+    with pytest.raises(InternalAssertion, match="perturbation"):
+        gen_drazin_triple(cfg, 2, c_equals_b=False)
 
 
 def test_gen_drazin_triple_argument_validation():

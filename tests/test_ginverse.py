@@ -18,7 +18,12 @@ from bezmat.errors import (
     NotSquare,
 )
 from bezmat.field_oracle import fraction_field_oracle
-from bezmat.generate import GenConfig, gen_drazin_triple, gen_group_invertible
+from bezmat.generate import (
+    GenConfig,
+    gen_drazin_triple,
+    gen_group_invertible,
+    random_matrix,
+)
 from bezmat.ginverse import (
     core_split,
     drazin,
@@ -26,7 +31,7 @@ from bezmat.ginverse import (
     idempotent_split,
     is_group_invertible,
 )
-from bezmat.matrix import Mat, block_diag, inverse_over_ring
+from bezmat.matrix import Mat, block_diag, det, inverse_over_ring
 from bezmat.normal_forms import col_module_equal
 from bezmat.rings import QQ, QQX, ZZ, Poly
 
@@ -204,14 +209,56 @@ def test_drazin_unit_determinant_is_plain_inverse():
 
 
 def test_drazin_computes_each_hermite_form_once(count_calls):
-    # index 2: the forms of X, X^2 and X^3 decide the index, and the one
-    # of X^2 also gives the rank factorization behind (X^2)^#
+    # index 2: the rank factorization of X has a singular core, and the
+    # one of X^2 gives (X^2)^#; X^3 is never needed
     cfg = GenConfig(ring="int", n=10, seed=3, entry_bound=9, core_rank=4)
     tr = gen_drazin_triple(cfg, 2, c_equals_b=False)
     counts = count_calls(("bezmat.normal_forms", "column_hermite"))
     res = drazin(tr.A @ tr.B)
     assert res.index == 2
-    assert counts["column_hermite"] <= 3
+    assert counts["column_hermite"] <= 2
+
+
+def _full_rank_nonunit_cases():
+    x = Poly.x()
+    cases = [mat([[2, 0], [0, 1]]), mat([[3, 1, 0], [1, 3, 0], [0, 0, 1]])]
+    cases.append(Mat.from_rows(QQX, [[x, 1], [0, x + 1]]))
+    cases.append(Mat.from_rows(QQX, [[x, 0, 1], [0, 1, 0], [1, 0, 1]]))
+    for ring_name in ("int", "polyrat"):
+        for seed in range(4):
+            cfg = GenConfig(ring=ring_name, n=4, seed=seed, entry_bound=3)
+            cases.append(random_matrix(cfg))
+    return cases
+
+
+def test_full_rank_nonunit_decided_from_determinant(count_calls):
+    # a nonzero non-unit determinant settles both inverses: no Hermite
+    # form, rank factorization or core inversion is needed
+    counts = count_calls(("bezmat.normal_forms", "column_hermite"))
+    for x in _full_rank_nonunit_cases():
+        d = det(x)
+        assert d != x.ring.zero and not x.ring.is_unit(d)
+        assert not is_group_invertible(x)
+        with pytest.raises(NotGroupInvertible, match="column module of X differs"):
+            group_inverse(x)
+        with pytest.raises(NotDrazinInvertible, match="det is nonzero but not a unit"):
+            drazin(x)
+    assert counts["column_hermite"] == 0
+
+
+def test_index_two_core_not_unimodular():
+    # rank(X) == 2 > rank(X^2) == 1 == rank(X^3): index 2 over any field;
+    # the core of X^2 is [4], so over the integers neither inverse exists
+    rows = [[2, 0, 0], [0, 0, 1], [0, 0, 0]]
+    x = mat(rows)
+    with pytest.raises(NotGroupInvertible):
+        group_inverse(x)
+    with pytest.raises(NotDrazinInvertible, match="no power X"):
+        drazin(x)
+    res = drazin(qmat(rows))
+    assert res.index == 2
+    assert res.dinv == qmat([[Fraction(1, 2), 0, 0], [0, 0, 0], [0, 0, 0]])
+    check_drazin_equations(qmat(rows), res)
 
 
 def test_drazin_nonunit_determinant_rejected_over_int():
@@ -229,7 +276,7 @@ def test_drazin_nilpotent_chains():
     res = drazin(x)
     assert res.index == 2
     assert res.dinv == Mat.zeros(ZZ, 2, 2)
-    # maximal chain: the rank scan must run to n + 1 before stabilizing
+    # maximal chain: the search runs to k == n, where X^n == 0
     s = mat([[0, 1, 0], [0, 0, 1], [0, 0, 0]])
     res3 = drazin(s)
     assert res3.index == 3
@@ -256,8 +303,8 @@ def test_drazin_group_invertible_case_has_index_one():
 
 
 def test_drazin_singular_but_not_drazin_invertible_over_int():
-    # rank stabilizes immediately at k = 1, but X itself is not group
-    # invertible over the integers
+    # index 1 (rank(X^2) == rank(X)), but the core Rt @ L of X is [2],
+    # which is not a unit: X is not group invertible over the integers
     x = mat([[2, 0], [0, 0]])
     with pytest.raises(NotDrazinInvertible):
         drazin(x)
