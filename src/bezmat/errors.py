@@ -53,15 +53,8 @@ class NoSolution(BezmatError):
 class NotGroupInvertible(BezmatError):
     """Group inverse does not exist over the ring.
 
-    ``module_ok`` / ``factor_ok`` name the two equivalent existence
-    criteria (the column modules of X and X @ X agree; Rt @ L is
-    invertible); both fail whenever this is raised, so both are always
-    False.  ``side`` optionally names the offending product in a larger
-    pipeline.
+    ``side`` optionally names the offending product in a larger pipeline.
     """
-
-    module_ok = False
-    factor_ok = False
 
     def __init__(self, message, side=None):
         super().__init__(message)

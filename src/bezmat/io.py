@@ -69,7 +69,7 @@ def matrix_from_doc(doc) -> Mat:
         if not isinstance(row, list) or len(row) != n:
             raise FormatError(f"row {i} must be a list of {n} entries")
         parsed.append([ring.parse_entry(e) for e in row])
-    return Mat.from_rows(ring, parsed)
+    return Mat.from_rows(ring, parsed, ncols=n)
 
 
 def loads_matrix(text: str) -> Mat:
@@ -103,7 +103,7 @@ def save_matrix(path: str, mat: Mat) -> None:
 
 
 def witness_to_doc(wit, verifications: dict) -> dict:
-    """Bundle a similarity witness with its re-verification flags."""
+    """Bundle a similarity witness with its verification flags."""
     return {
         "W": matrix_to_doc(wit.W),
         "Winv": matrix_to_doc(wit.Winv),

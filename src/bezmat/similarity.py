@@ -51,13 +51,16 @@ from .normal_forms import col_module_equal
 
 @dataclass(frozen=True)
 class SimilarityWitness:
-    """W with X == W @ Y @ Winv for X = A@B and Y = C@A of the triple it
-    was built from, with the pieces of its construction; Xginv and Yginv
-    are the group inverses of X and Y."""
+    """W with X == W @ Y @ Winv for the products X = A@B and Y = C@A of
+    the triple it was built from (for a power witness, (A@B)^s and
+    (C@A)^s), with the pieces of its construction; Xginv and Yginv are
+    the group inverses of X and Y."""
 
     W: Mat
     Winv: Mat
     r1: int
+    X: Mat
+    Y: Mat
     H1: Mat
     H2: Mat
     Acore: Mat
@@ -105,12 +108,12 @@ def _shared_products(a: Mat, b: Mat, c: Mat):
 def check_hypotheses(a: Mat, b: Mat, c: Mat) -> HypothesisReport:
     """Evaluate the base hypotheses without raising."""
     _validate_triple(a, b, c)
-    aba = a @ b @ a
-    aca = a @ c @ a
-    res_x, _ = _group_inverse_attempt(a @ b)
-    res_y, _ = _group_inverse_attempt(c @ a)
+    x = a @ b
+    y = c @ a
+    res_x, _ = _group_inverse_attempt(x)
+    res_y, _ = _group_inverse_attempt(y)
     return HypothesisReport(
-        aba_equals_aca=(aba == aca),
+        aba_equals_aca=(x @ a == a @ y),
         ab_group_invertible=res_x is not None,
         ca_group_invertible=res_y is not None,
     )
@@ -138,16 +141,14 @@ def similarity_witness(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
     if fail_y is not None:
         fail_y.side = "CA"
         raise fail_y
-    return _witness_from(a, b, c, res_x.ginv, res_y.ginv)
+    return _witness_from(a, b, c, x, y, res_x.ginv, res_y.ginv)
 
 
-def _witness_from(a: Mat, b: Mat, c: Mat, xg: Mat, yg: Mat) -> SimilarityWitness:
-    """Steps 3-6 for a triple with A@B@A == A@C@A, given the group
-    inverses xg of X = A@B and yg of Y = C@A."""
+def _witness_from(a: Mat, b: Mat, c: Mat, x: Mat, y: Mat, xg: Mat, yg: Mat) -> SimilarityWitness:
+    """Steps 3-6 for a triple with A@B@A == A@C@A, given X = A@B and
+    Y = C@A and their group inverses xg and yg."""
     ring = a.ring
     n = a.n
-    x = a @ b
-    y = c @ a
     cs1 = _core_split_with(x, xg)
     cs2 = _core_split_with(y, yg)
     if cs1.r != cs2.r:
@@ -194,6 +195,8 @@ def _witness_from(a: Mat, b: Mat, c: Mat, xg: Mat, yg: Mat) -> SimilarityWitness
         W=w,
         Winv=winv,
         r1=r1,
+        X=x,
+        Y=y,
         H1=h1,
         H2=h2,
         Acore=at11,
@@ -222,18 +225,17 @@ def verify_witness(a: Mat, b: Mat, c: Mat, w: Mat, mode: str = "product") -> boo
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
     winv = inverse_over_ring(w)
-    return _conjugations(a, b, c, w, winv, (mode,))[mode]
+    return _conjugations(a @ b, c @ a, w, winv, (mode,))[mode]
 
 
-def _conjugations(a, b, c, w, winv, modes, xg=None, yg=None) -> dict:
-    """{mode: verify_witness(a, b, c, w, mode)} given W^-1.
+def _conjugations(x, y, w, winv, modes, xg=None, yg=None) -> dict:
+    """{mode: verify_witness(a, b, c, w, mode)} given X = A@B, Y = C@A
+    and W^-1.
 
     Each group or Drazin inverse is computed at most once for all the
-    modes, and none at all when the group inverses xg of X = A@B and yg
-    of Y = C@A are given: they are then also X^D and Y^D.
+    modes, and none at all when the group inverses xg of X and yg of Y
+    are given: they are then also X^D and Y^D.
     """
-    x = a @ b
-    y = c @ a
     ver = {}
     for mode in modes:
         if mode == "product":
@@ -256,12 +258,25 @@ def _conjugations(a, b, c, w, winv, modes, xg=None, yg=None) -> dict:
 
 
 def conjugate_witnesses(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
-    """similarity_witness plus verification that the same W transports
-    group inverses, core projectors, and cores.  Any failure of the
-    derived conjugations is a bug, not an input problem."""
+    """similarity_witness, whose W is verified to conjugate the products,
+    plus verification that the same W transports group inverses, core
+    projectors, and cores.
+
+    A returned witness has passed every mode of verify_witness, each
+    checked once on the products the construction formed.  Any failure
+    of the derived conjugations is a bug, not an input problem, and
+    raises InternalAssertion.
+    """
     wit = similarity_witness(a, b, c)
+    _derived_conjugations(a, b, c, wit)
+    return wit
+
+
+def _derived_conjugations(a: Mat, b: Mat, c: Mat, wit: SimilarityWitness) -> None:
+    """Check that the witness built from the triple also conjugates the
+    group inverses, core projectors and cores of its products."""
     ver = _conjugations(
-        a, b, c, wit.W, wit.Winv, ("ginv", "projector", "core"), wit.Xginv, wit.Yginv
+        wit.X, wit.Y, wit.W, wit.Winv, ("ginv", "projector", "core"), wit.Xginv, wit.Yginv
     )
     for mode, ok in ver.items():
         if not ok:
@@ -269,7 +284,6 @@ def conjugate_witnesses(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
                 f"constructed witness failed derived conjugation {mode!r}",
                 instance=_instance_dump(a, b, c, f"conjugate-{mode}"),
             )
-    return wit
 
 
 def power_witness(a: Mat, b: Mat, c: Mat, s: int) -> SimilarityWitness:
@@ -297,31 +311,35 @@ def _power_witness(a: Mat, b: Mat, c: Mat, s: int, dr_ab) -> SimilarityWitness:
         raise IndexTooSmall(
             f"s={s} is below max(index, 1)={floor}", s=s, index=k
         )
-    b2 = b @ x ** (s - 1)
-    c2 = y ** (s - 1) @ c
-    if a @ b2 != x ** s or c2 @ a != y ** s:
+    xp = x ** (s - 1)
+    yp = y ** (s - 1)
+    b2 = b @ xp
+    c2 = yp @ c
+    xs = a @ b2
+    ys = c2 @ a
+    if xs != x @ xp or ys != yp @ y:
         raise InternalAssertion(
             "power reduction identities failed",
             instance=_instance_dump(a, b, c, f"power-reduce s={s}"),
         )
-    if a @ b2 @ a != a @ c2 @ a:
+    if xs @ a != a @ ys:
         raise InternalAssertion(
             "reduced triple lost the shared-product identity",
             instance=_instance_dump(a, b, c, f"power-hypothesis s={s}"),
         )
-    res_abs, fail_abs = _group_inverse_attempt(a @ b2)
+    res_abs, fail_abs = _group_inverse_attempt(xs)
     if fail_abs is not None:
         # guaranteed for s >= index of A@B; failure means a bug
         raise InternalAssertion(
             "(A@B)^s is not group invertible despite s >= index",
             instance=_instance_dump(a, b, c, f"power-ab s={s}"),
         )
-    res_cas, fail_cas = _group_inverse_attempt(c2 @ a)
+    res_cas, fail_cas = _group_inverse_attempt(ys)
     if fail_cas is not None:
         # legitimately possible at s == k when index(C@A) == k + 1
         fail_cas.side = "CA^s"
         raise fail_cas
-    return _witness_from(a, b2, c2, res_abs.ginv, res_cas.ginv)
+    return _witness_from(a, b2, c2, xs, ys, res_abs.ginv, res_cas.ginv)
 
 
 def cline_verify(a: Mat, b: Mat, c: Mat) -> bool:
@@ -351,9 +369,9 @@ def _cline(a: Mat, b: Mat, c: Mat):
     return ok, dr_ab, dr_ca
 
 
-def _variant_conditions(a: Mat, b: Mat, c: Mat, variant: str):
-    ab = a @ b
-    ca = c @ a
+def _variant_conditions(a: Mat, b: Mat, c: Mat, ab: Mat, ca: Mat, variant: str):
+    """The named column-module equalities of a variant, given the
+    products AB = A@B and CA = C@A."""
     if variant == "cor22":
         return (("Rr(A)=Rr(ABA)", col_module_equal(a, ab @ a)),)
     if variant == "cor23":
@@ -387,7 +405,7 @@ def corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
     like the others, certifies A@B similar to C@A.
     """
     x, y = _shared_products(a, b, c)
-    conditions = _variant_conditions(a, b, c, variant)
+    conditions = _variant_conditions(a, b, c, x, y, variant)
     res_x, _ = _group_inverse_attempt(x)
     res_y, _ = _group_inverse_attempt(y)
     report = HypothesisReport(
@@ -408,4 +426,4 @@ def corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
             "variant conditions hold but a product is not group invertible",
             instance=_instance_dump(a, b, c, f"variant-{variant}"),
         )
-    return report, _witness_from(a, b, c, res_x.ginv, res_y.ginv)
+    return report, _witness_from(a, b, c, x, y, res_x.ginv, res_y.ginv)

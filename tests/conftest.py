@@ -27,17 +27,25 @@ def count_calls(monkeypatch):
     """count_calls((module, attribute), ...) wraps each library function
     in a counter, rebinding every ``bezmat`` module's reference to it so
     calls between modules are seen; returns the Counter, keyed by
-    attribute name."""
+    attribute name.  An attribute ``Class.method`` is rebound on its
+    class, which every caller reaches."""
     counts = collections.Counter()
 
     def install(*targets):
         for modname, attr in targets:
-            original = getattr(sys.modules[modname], attr)
+            cls_name, _, attr = attr.rpartition(".")
+            owner = sys.modules[modname]
+            if cls_name:
+                owner = getattr(owner, cls_name)
+            original = getattr(owner, attr)
 
             def counted(*args, _attr=attr, _fn=original, **kwargs):
                 counts[_attr] += 1
                 return _fn(*args, **kwargs)
 
+            if cls_name:
+                monkeypatch.setattr(owner, attr, counted)
+                continue
             for name, mod in list(sys.modules.items()):
                 if name == "bezmat" or name.startswith("bezmat."):
                     for binding, value in list(vars(mod).items()):

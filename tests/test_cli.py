@@ -101,6 +101,16 @@ def test_hnf_and_smith_docs(write_doc):
     assert doc["rank"] == 2
 
 
+def test_hnf_of_zero_row_matrix_has_square_transform(write_doc):
+    path = write_doc("e.json", {"ring": "int", "rows": 0, "cols": 3, "entries": []})
+    code, doc = run_json(["hnf", path])
+    assert code == 0
+    assert matrix_from_doc(doc["T"]) == Mat.identity(ZZ, 3)
+    assert (doc["H"]["rows"], doc["H"]["cols"], doc["rank"]) == (0, 3, 0)
+    code, doc = run_json(["rank", path])
+    assert code == 0 and doc["cols"] == 3
+
+
 def test_ginv_and_drazin_docs(write_doc):
     p = write_doc("x.json", {"ring": "int", "rows": 3, "cols": 3, "entries": [["3", "-1", "1"], ["1", "0", "0"], ["0", "0", "0"]]})
     code, doc = run_json(["ginv", p])
@@ -117,7 +127,8 @@ def test_ginv_and_drazin_docs(write_doc):
 
 def test_witness_derives_each_inverse_once(write_doc, count_calls):
     # X^#, Y^# and W^-1 come from the construction, which also gives X^D
-    # and Y^D, and no Smith form is needed anywhere
+    # and Y^D, and no Smith form is needed anywhere; A@B and C@A are
+    # formed once, and each printed identity is evaluated once
     cfg = GenConfig(ring="int", n=12, seed=12, entry_bound=9, core_rank=6)
     tr = gen_flanders_triple(cfg, c_equals_b=False)
     files = [write_doc(name, matrix_to_doc(m)) for name, m in zip("ABC", tr)]
@@ -126,13 +137,19 @@ def test_witness_derives_each_inverse_once(write_doc, count_calls):
         ("bezmat.matrix", "inverse_over_ring"),
         ("bezmat.normal_forms", "smith"),
         ("bezmat.ginverse", "drazin"),
+        ("bezmat.matrix", "Mat.__matmul__"),
     )
     code, doc = run_json(["witness", *files])
     assert code == 0 and doc["r1"] == 6 and all(doc["verified"].values())
     assert counts["_group_inverse_attempt"] <= 2
-    assert counts["inverse_over_ring"] <= 6
+    assert counts["inverse_over_ring"] <= 4
     assert counts["smith"] == 0
     assert counts["drazin"] == 0
+    assert counts["__matmul__"] <= 76
+    counts.clear()
+    code, doc = run_json(["check", *files, "--variant", "cor22"])
+    assert code == 0 and all(doc["witness"]["verified"].values())
+    assert counts["__matmul__"] <= 77
 
 
 @pytest.mark.parametrize("verb,drazin_calls", [("verify-cline", 2), ("witness-power", 1)])
@@ -142,13 +159,16 @@ def test_drazin_verbs_derive_each_inverse_once(write_doc, count_calls, verb, dra
     cfg = GenConfig(ring="int", n=10, seed=3, entry_bound=9, core_rank=4)
     tr = gen_drazin_triple(cfg, 2, c_equals_b=False)
     files = [write_doc(name, matrix_to_doc(m)) for name, m in zip("ABC", tr)]
-    counts = count_calls(("bezmat.ginverse", "drazin"))
+    counts = count_calls(("bezmat.ginverse", "drazin"), ("bezmat.matrix", "Mat.__matmul__"))
     code, doc = run_json([verb, *files])
     assert code == 0
     if verb == "verify-cline":
         assert doc["verified"] is True and doc["index_ab"] == 2
     else:
         assert doc["s"] == 2 and doc["verified"] == {"power_product": True}
+        # A@B' and C'@A are formed once, and the power identity is
+        # evaluated once, by the library
+        assert counts["__matmul__"] <= 91
     assert counts["drazin"] == drazin_calls
 
 
@@ -312,6 +332,31 @@ def test_exit_5_injected_fault_dumps_instance(write_doc):
     # the fault switch must not leak into later runs
     code, doc = run_json(["witness", a, b, b])
     assert code == 0
+
+
+@pytest.mark.parametrize("extra", [[], ["--variant", "cor22"]], ids=["witness", "check"])
+def test_exit_5_derived_conjugation_failure_dumps_instance(write_doc, monkeypatch, extra):
+    # the library verifies the derived conjugations of the witness it
+    # prints; a failure there is an internal assertion of the library's
+    # own stage, with the triple in the dump
+    from bezmat import similarity
+
+    conjugations = similarity._conjugations
+
+    def ginv_fails(*args, **kwargs):
+        ver = conjugations(*args, **kwargs)
+        if "ginv" in ver:
+            ver["ginv"] = False
+        return ver
+
+    monkeypatch.setattr(similarity, "_conjugations", ginv_fails)
+    a = write_doc("a.json", SWAP_A)
+    b = write_doc("b.json", SWAP_B)
+    code, doc = run_json(["check" if extra else "witness", a, b, b, *extra])
+    assert code == 5
+    assert doc["error"] == "InternalAssertion"
+    assert doc["instance"]["stage"] == "conjugate-ginv"
+    assert {"A", "B", "C"} <= set(doc["instance"])
 
 
 def test_main_returns_code_without_exiting(write_doc):

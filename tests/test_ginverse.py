@@ -101,10 +101,8 @@ def test_group_inverse_ring_sensitivity():
     # X @ X == 4 X: the group inverse X / 16 exists over the rationals
     # but not over the integers.
     xz = mat([[2, 2], [2, 2]])
-    with pytest.raises(NotGroupInvertible) as exc_info:
+    with pytest.raises(NotGroupInvertible):
         group_inverse(xz)
-    assert exc_info.value.module_ok is False
-    assert exc_info.value.factor_ok is False
     assert not is_group_invertible(xz)
 
     xq = qmat([[2, 2], [2, 2]])

@@ -52,6 +52,15 @@ def test_round_trip_empty():
     assert matrix_from_doc(matrix_to_doc(m)) == m
 
 
+@pytest.mark.parametrize("ring", [ZZ, QQ, QQX], ids=lambda r: r.name)
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)], ids=["0x3", "3x0"])
+def test_round_trip_zero_sized(ring, shape):
+    m = Mat.zeros(ring, *shape)
+    back = matrix_from_doc(matrix_to_doc(m))
+    assert back.shape == shape
+    assert back == m
+
+
 def test_parse_accepts_bare_ints_for_int_ring():
     m = matrix_from_doc(doc("int", 1, 2, [[1, "-2"]]))
     assert m == Mat.from_rows(ZZ, [[1, -2]])
