@@ -125,7 +125,7 @@ def _rand_element(ring, rng: SplitMix64, bound: int):
         return Fraction(num, den)
     # polyrat: degree <= bound, integer coefficients in [-bound, bound]
     deg = rng.below(bound + 1)
-    coeffs = [Fraction(rng.int_in(-bound, bound)) for _ in range(deg + 1)]
+    coeffs = [rng.int_in(-bound, bound) for _ in range(deg + 1)]
     return Poly(coeffs)
 
 
@@ -149,11 +149,11 @@ def _shear_coefficient(ring, rng):
         return rng.choice([-2, -1, 1, 2])
     if ring.name == "rat":
         return Fraction(rng.choice([-2, -1, 1, 2]))
-    c0 = Fraction(rng.int_in(-1, 1))
-    c1 = Fraction(rng.choice([-1, 1])) if rng.below(2) else Fraction(0)
+    c0 = rng.int_in(-1, 1)
+    c1 = rng.choice([-1, 1]) if rng.below(2) else 0
     p = Poly([c0, c1])
     if p.is_zero():
-        p = Poly([Fraction(1)])
+        p = Poly([1])
     return p
 
 

@@ -7,6 +7,12 @@ for the rationals, and ``Poly`` for polynomials in one variable over the
 rationals.  Ordinary arithmetic on payloads uses Python operators; only
 operations whose meaning depends on the ring go through the ring object.
 
+A ``Poly`` is stored as int numerators over one positive int denominator
+in lowest terms, so its arithmetic (schoolbook products, pseudo-division,
+one gcd normalisation per result) runs on Python ints and creates no
+``Fraction``; ``Poly.coeffs`` builds the ``Fraction`` coefficients on
+demand for readers that want them.
+
 xgcd contract, identical across rings.  ``xgcd(a, b)`` returns
 ``(g, s, t, u, v)`` with
 
@@ -32,149 +38,258 @@ integers, degree for polynomials, a constant for the field.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add, sub
 
 from .errors import DivisionByZero, FormatError, NotDivisible
+
+
+def _format_ratio(n: int, d: int) -> str:
+    """The rational n/d (d > 0) as ``str(Fraction(n, d))`` prints it."""
+    g = gcd(n, d)
+    if g != 1:
+        n //= g
+        d //= g
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 class Poly:
     """Univariate polynomial over the rationals.
 
-    Immutable.  ``coeffs`` is an ascending tuple of Fractions with a
-    nonzero last entry; the zero polynomial has an empty tuple.
+    Immutable.  ``num`` is an ascending tuple of ``int`` numerators with a
+    nonzero last entry and ``den`` one positive ``int`` denominator, in
+    lowest terms: gcd(content, den) == 1, the content being the gcd of the
+    numerators.  The zero polynomial is ``num == ()``, ``den == 1``.  The
+    form is unique, so ``==`` and ``hash`` compare the two fields, and
+    ``+``, ``-``, ``*`` and ``divmod`` run on ints alone.  ``coeffs``, the
+    ascending tuple of ``Fraction`` coefficients, is built on each access.
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("num", "den")
 
     def __init__(self, coeffs=()):
-        cs = [c if isinstance(c, Fraction) else Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        object.__setattr__(self, "coeffs", tuple(cs))
+        cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
+        den = lcm(*(c.denominator for c in cs))
+        p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
+        object.__setattr__(self, "num", p.num)
+        object.__setattr__(self, "den", p.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
 
     @staticmethod
     def constant(c) -> "Poly":
-        return Poly((Fraction(c),))
+        return Poly((c,))
 
     @staticmethod
     def x() -> "Poly":
-        return Poly((Fraction(0), Fraction(1)))
+        return _raw((0, 1), 1)
+
+    @property
+    def coeffs(self) -> tuple:
+        den = self.den
+        return tuple(Fraction(n, den) for n in self.num)
 
     @property
     def degree(self) -> int:
         # Degree of the zero polynomial is -1 by convention.
-        return len(self.coeffs) - 1
+        return len(self.num) - 1
 
     @property
     def lead(self) -> Fraction:
-        if not self.coeffs:
+        if not self.num:
             return Fraction(0)
-        return self.coeffs[-1]
+        return Fraction(self.num[-1], self.den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.num
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.num)
 
     @staticmethod
     def _coerce(other):
         if isinstance(other, Poly):
             return other
         if isinstance(other, (int, Fraction)):
-            return Poly((Fraction(other),))
+            return _poly((other.numerator,), other.denominator)
         return None
 
     def __eq__(self, other):
-        other = Poly._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self.coeffs == other.coeffs
+        if type(other) is not Poly:
+            other = Poly._coerce(other)
+            if other is None:
+                return NotImplemented
+        return self.num == other.num and self.den == other.den
 
     def __hash__(self):
-        return hash(("Poly", self.coeffs))
+        return hash((self.num, self.den))
 
     def __add__(self, other):
-        other = Poly._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
+        if type(other) is not Poly:
+            other = Poly._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self, other, False)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Poly(tuple(-c for c in self.coeffs))
+        return _raw(tuple([-c for c in self.num]), self.den)
 
     def __sub__(self, other):
-        other = Poly._coerce(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        if type(other) is not Poly:
+            other = Poly._coerce(other)
+            if other is None:
+                return NotImplemented
+        return _add(self, other, True)
 
     def __rsub__(self, other):
         other = Poly._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return _add(other, self, True)
 
     def __mul__(self, other):
-        other = Poly._coerce(other)
-        if other is None:
-            return NotImplemented
-        a, b = self.coeffs, other.coeffs
+        if type(other) is not Poly:
+            other = Poly._coerce(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.num, other.num
         if not a or not b:
-            return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
-        for i, ca in enumerate(a):
-            if ca:
-                for j, cb in enumerate(b):
-                    out[i + j] += ca * cb
-        return Poly(out)
+            return _ZERO
+        if len(a) < len(b):
+            a, b = b, a
+        out = [0] * (len(a) + len(b) - 1)
+        for i, cb in enumerate(b):
+            if cb:
+                for j, ca in enumerate(a, i):
+                    out[j] += ca * cb
+        return _poly(out, self.den * other.den)
 
     __rmul__ = __mul__
 
     def divmod(self, other: "Poly"):
-        """Polynomial division with remainder; coefficients are rational."""
+        """(q, r) with self == q*other + r and deg r < deg other.
+
+        Integer pseudo-division of the numerators by the primitive part
+        of ``other``: the running remainder is multiplied by the least
+        factor that lets the leading coefficient divide it, and the
+        accumulated factor goes into the denominators of q and r.
+        """
         other = Poly._coerce(other)
-        if other is None or other.is_zero():
+        if other is None or not other.num:
             raise DivisionByZero("polynomial division by zero")
-        rem = list(self.coeffs)
-        db, lb = other.degree, other.lead
-        q = [Fraction(0)] * max(len(rem) - db, 0)
-        for i in range(len(rem) - 1, db - 1, -1):
+        a, b = self.num, other.num
+        db = len(b) - 1
+        if len(a) <= db:
+            return _ZERO, self
+        content = gcd(*b)
+        if content != 1:
+            b = [c // content for c in b]
+        lb = b[-1]
+        rem = list(a)
+        q = [0] * (len(a) - db)
+        scale = 1
+        for i in range(len(a) - 1, db - 1, -1):
             c = rem[i]
-            if c:
-                f = c / lb
-                q[i - db] = f
-                for j, cb in enumerate(other.coeffs):
-                    rem[i - db + j] -= f * cb
-        return Poly(q), Poly(rem)
+            if not c:
+                continue
+            f, m = divmod(c, lb)
+            if m:
+                s = abs(lb) // gcd(c, lb)
+                rem[: i + 1] = [x * s for x in rem[: i + 1]]
+                q = [x * s for x in q]
+                scale *= s
+                f = c * s // lb
+            k = i - db
+            q[k] = f
+            for j, cb in enumerate(b, k):
+                rem[j] -= f * cb
+        # scale*a == q*b + rem, and self == a/da, other == content*b/db
+        den = scale * self.den
+        return (
+            _poly([x * other.den for x in q], den * content),
+            _poly(rem[:db], den),
+        )
 
     def __str__(self):
-        if not self.coeffs:
+        if not self.num:
             return "0"
+        den = self.den
         parts = []
-        for i, c in enumerate(self.coeffs):
-            if c == 0:
+        for i, n in enumerate(self.num):
+            if not n:
                 continue
+            c = _format_ratio(n, den)
             if i == 0:
-                parts.append(str(c))
+                parts.append(c)
             elif i == 1:
-                parts.append("x" if c == 1 else f"{c}*x")
+                parts.append("x" if n == den else f"{c}*x")
             else:
-                parts.append(f"x^{i}" if c == 1 else f"{c}*x^{i}")
+                parts.append(f"x^{i}" if n == den else f"{c}*x^{i}")
         return " + ".join(parts).replace("+ -", "- ")
 
     def __repr__(self):
         return f"Poly({list(self.coeffs)!r})"
+
+
+_new = object.__new__
+_set_num = Poly.num.__set__
+_set_den = Poly.den.__set__
+
+
+def _raw(num: tuple, den: int) -> Poly:
+    """A Poly from fields already in lowest terms."""
+    p = _new(Poly)
+    _set_num(p, num)
+    _set_den(p, den)
+    return p
+
+
+def _poly(num, den: int) -> Poly:
+    """The Poly num/den: ascending int numerators over a nonzero int."""
+    n = len(num)
+    while n and not num[n - 1]:
+        n -= 1
+    if not n:
+        return _ZERO
+    if n < len(num):
+        num = num[:n]
+    if den != 1:
+        g = gcd(den, *num)
+        if den < 0:
+            g = -g
+        if g != 1:
+            num = [c // g for c in num]
+            den //= g
+    return _raw(tuple(num), den)
+
+
+def _add(p: Poly, q: Poly, negate: bool) -> Poly:
+    """p + q, or p - q when ``negate``."""
+    a, b = p.num, q.num
+    if not b:
+        return p
+    if not a:
+        return -q if negate else q
+    den = p.den
+    if den != q.den:
+        g = gcd(den, q.den)
+        sa, sb = q.den // g, den // g
+        a = [c * sa for c in a]
+        b = [c * sb for c in b]
+        den *= sa
+    la, lb = len(a), len(b)
+    out = list(map(sub if negate else add, a, b))
+    if la > lb:
+        out += a[lb:]
+    elif lb > la:
+        out += [-c for c in b[la:]] if negate else b[la:]
+    return _poly(out, den)
+
+
+_ZERO = _raw((), 1)
 
 
 def _parse_rational(obj) -> Fraction:
@@ -190,12 +305,6 @@ def _parse_rational(obj) -> Fraction:
         except (ValueError, ZeroDivisionError) as exc:
             raise FormatError(f"bad rational syntax: {obj!r}") from exc
     raise FormatError(f"not a rational: {obj!r}")
-
-
-def _format_rational(q: Fraction) -> str:
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
 
 
 class IntegerRing:
@@ -359,10 +468,10 @@ class RationalField:
         return _parse_rational(obj)
 
     def format_entry(self, a):
-        return _format_rational(a)
+        return _format_ratio(a.numerator, a.denominator)
 
     def pretty(self, a) -> str:
-        return _format_rational(a)
+        return _format_ratio(a.numerator, a.denominator)
 
 
 class PolynomialRing:
@@ -370,7 +479,7 @@ class PolynomialRing:
 
     name = "polyrat"
     zero = Poly()
-    one = Poly((Fraction(1),))
+    one = Poly((1,))
 
     def coerce(self, x):
         if isinstance(x, Poly):
@@ -378,7 +487,7 @@ class PolynomialRing:
         if isinstance(x, bool):
             raise FormatError(f"not a polynomial element: {x!r}")
         if isinstance(x, (int, Fraction)):
-            return Poly((Fraction(x),))
+            return Poly._coerce(x)
         raise FormatError(f"not a polynomial element: {x!r}")
 
     def is_zero(self, a) -> bool:
@@ -389,17 +498,16 @@ class PolynomialRing:
 
     def canonicalize(self, a):
         # unit * assoc == a with assoc monic (or zero).
-        if a.is_zero():
+        num, den = a.num, a.den
+        if not num or num[-1] == den:
             return self.one, a
-        lc = a.lead
-        if lc == 1:
-            return self.one, a
-        return Poly.constant(lc), Poly(tuple(c / lc for c in a.coeffs))
+        # a / lead(a) == num / num[-1]: the denominator cancels
+        return _poly((num[-1],), den), _poly(num, num[-1])
 
     def unit_inverse(self, u):
         if u.degree != 0:
             raise DivisionByZero(f"not a unit: {u}")
-        return Poly.constant(1 / u.coeffs[0])
+        return _poly((u.den,), u.num[0])
 
     def size(self, a) -> int:
         return a.degree
@@ -460,7 +568,7 @@ class PolynomialRing:
         return Poly(tuple(_parse_rational(c) for c in obj))
 
     def format_entry(self, a):
-        return [_format_rational(c) for c in a.coeffs]
+        return [_format_ratio(n, a.den) for n in a.num]
 
     def pretty(self, a) -> str:
         return str(a)

@@ -93,7 +93,7 @@ def _validate_triple(a: Mat, b: Mat, c: Mat):
 
 
 def _shared_products(a: Mat, b: Mat, c: Mat):
-    """(A@B, C@A) of a valid triple with A@B@A == A@C@A; raises
+    """(A@B, C@A, A@B@A) of a valid triple with A@B@A == A@C@A; raises
     HypothesisViolated, carrying both sides, otherwise."""
     _validate_triple(a, b, c)
     x = a @ b
@@ -102,7 +102,7 @@ def _shared_products(a: Mat, b: Mat, c: Mat):
     aca = a @ y
     if aba != aca:
         raise HypothesisViolated("A@B@A != A@C@A", lhs=aba, rhs=aca)
-    return x, y
+    return x, y, aba
 
 
 def check_hypotheses(a: Mat, b: Mat, c: Mat) -> HypothesisReport:
@@ -132,7 +132,7 @@ def _instance_dump(a: Mat, b: Mat, c: Mat, stage: str):
 
 def similarity_witness(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
     """Construct and verify W with A@B == W @ (C@A) @ W^-1."""
-    x, y = _shared_products(a, b, c)
+    x, y, _ = _shared_products(a, b, c)
     res_x, fail_x = _group_inverse_attempt(x)
     if fail_x is not None:
         fail_x.side = "AB"
@@ -302,7 +302,7 @@ def power_witness(a: Mat, b: Mat, c: Mat, s: int) -> SimilarityWitness:
 def _power_witness(a: Mat, b: Mat, c: Mat, s: int, dr_ab) -> SimilarityWitness:
     """power_witness, reusing the Drazin inverse dr_ab of A@B when the
     caller already has it (None computes it)."""
-    x, y = _shared_products(a, b, c)
+    x, y, _ = _shared_products(a, b, c)
     if dr_ab is None:
         dr_ab = drazin(x)  # may raise NotDrazinInvertible
     k = dr_ab.index
@@ -355,7 +355,7 @@ def cline_verify(a: Mat, b: Mat, c: Mat) -> bool:
 def _cline(a: Mat, b: Mat, c: Mat):
     """cline_verify's verdict with the two Drazin results it rests on:
     (verdict, (A@B)^D result, (C@A)^D result)."""
-    x, y = _shared_products(a, b, c)
+    x, y, _ = _shared_products(a, b, c)
     dr_ab = drazin(x)  # may raise NotDrazinInvertible
     candidate = c @ (dr_ab.dinv @ dr_ab.dinv) @ a
     try:
@@ -369,11 +369,11 @@ def _cline(a: Mat, b: Mat, c: Mat):
     return ok, dr_ab, dr_ca
 
 
-def _variant_conditions(a: Mat, b: Mat, c: Mat, ab: Mat, ca: Mat, variant: str):
+def _variant_conditions(a: Mat, b: Mat, c: Mat, ab: Mat, ca: Mat, aba: Mat, variant: str):
     """The named column-module equalities of a variant, given the
-    products AB = A@B and CA = C@A."""
+    products AB = A@B, CA = C@A and ABA = A@B@A."""
     if variant == "cor22":
-        return (("Rr(A)=Rr(ABA)", col_module_equal(a, ab @ a)),)
+        return (("Rr(A)=Rr(ABA)", col_module_equal(a, aba)),)
     if variant == "cor23":
         return (
             ("Rr(A)=Rr(AB)", col_module_equal(a, ab)),
@@ -381,13 +381,13 @@ def _variant_conditions(a: Mat, b: Mat, c: Mat, ab: Mat, ca: Mat, variant: str):
         )
     if variant == "thm22":
         return (
-            ("Rr(AB)=Rr(ABA)", col_module_equal(ab, ab @ a)),
+            ("Rr(AB)=Rr(ABA)", col_module_equal(ab, aba)),
             ("Rr(CA)=Rr(CAB)", col_module_equal(ca, ca @ b)),
         )
     if variant == "cor24":
         return (
             ("Rr(A)=Rr(AC)", col_module_equal(a, a @ c)),
-            ("Rr(A)=Rr(ABA)", col_module_equal(a, ab @ a)),
+            ("Rr(A)=Rr(ABA)", col_module_equal(a, aba)),
         )
     raise ValueError(f"unknown variant {variant!r}; expected one of {VARIANTS}")
 
@@ -404,8 +404,8 @@ def corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
     full report.  The cor24 variant checks its stated equalities but,
     like the others, certifies A@B similar to C@A.
     """
-    x, y = _shared_products(a, b, c)
-    conditions = _variant_conditions(a, b, c, x, y, variant)
+    x, y, aba = _shared_products(a, b, c)
+    conditions = _variant_conditions(a, b, c, x, y, aba, variant)
     res_x, _ = _group_inverse_attempt(x)
     res_y, _ = _group_inverse_attempt(y)
     report = HypothesisReport(

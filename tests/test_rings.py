@@ -1,6 +1,7 @@
 """Element-level contracts of the three coefficient rings."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -157,6 +158,201 @@ def test_poly_arithmetic_matches_evaluation(p, q, t):
     assert ev(p * q, t) == ev(p, t) * ev(q, t)
 
 
+# -- differential reference: the same operations on Fraction coefficients ---
+#
+# Poly computes on int numerators over one denominator.  These functions
+# are the plain Fraction algorithms on ascending coefficient tuples; the
+# differential tests require the two to agree coefficient for coefficient.
+
+
+def _ref_trim(cs):
+    cs = [Fraction(c) for c in cs]
+    while cs and cs[-1] == 0:
+        cs.pop()
+    return tuple(cs)
+
+
+def _ref_add(a, b):
+    n = max(len(a), len(b))
+    pad = lambda p: list(p) + [Fraction(0)] * (n - len(p))
+    return _ref_trim(x + y for x, y in zip(pad(a), pad(b)))
+
+
+def _ref_neg(a):
+    return tuple(-c for c in a)
+
+
+def _ref_mul(a, b):
+    if not a or not b:
+        return ()
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return _ref_trim(out)
+
+
+def _ref_divmod(a, b):
+    rem, db = list(a), len(b) - 1
+    q = [Fraction(0)] * max(len(rem) - db, 0)
+    for i in range(len(rem) - 1, db - 1, -1):
+        f = q[i - db] = rem[i] / b[-1]
+        for j, y in enumerate(b):
+            rem[i - db + j] -= f * y
+    return _ref_trim(q), _ref_trim(rem)
+
+
+def _ref_canonicalize(a):
+    if not a:
+        return (Fraction(1),), a
+    return (a[-1],), tuple(c / a[-1] for c in a)
+
+
+def _ref_xgcd(a, b):
+    """PolynomialRing.xgcd's algorithm, step for step, on Fraction tuples."""
+    if not a and not b:
+        return ((),) * 5
+    sub = lambda p, q: _ref_add(p, _ref_neg(q))
+    exact = lambda p, q: _ref_divmod(p, q)[0]
+    one = (Fraction(1),)
+    old_r, r, old_s, s, old_t, t = a, b, one, (), (), one
+    while r:
+        q, rem = _ref_divmod(old_r, r)
+        old_r, r = r, rem
+        old_s, s = s, sub(old_s, _ref_mul(q, s))
+        old_t, t = t, sub(old_t, _ref_mul(q, t))
+    unit, g = _ref_canonicalize(old_r)
+    ui = (1 / unit[0],)
+    bs, bt = _ref_mul(ui, old_s), _ref_mul(ui, old_t)
+    if b:
+        m = exact(b, g)
+        if len(m) > 1:
+            bs = _ref_divmod(bs, m)[1]
+            bt = exact(sub(g, _ref_mul(bs, a)), b)
+        else:
+            bs, bt = (), exact(g, b)
+    return g, bs, bt, exact(a, g), exact(b, g)
+
+
+def _ref_str(a):
+    parts = []
+    for i, c in enumerate(a):
+        if c:
+            mono = "" if i == 0 else "x" if i == 1 else f"x^{i}"
+            parts.append(str(c) if not mono else mono if c == 1 else f"{c}*{mono}")
+    return " + ".join(parts).replace("+ -", "- ") or "0"
+
+
+# coefficients with denominators up to 10**6, as ints and as Fractions
+WIDE_COEFF = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-10**3, max_value=10**3, max_denominator=10**6),
+)
+WIDE_COEFFS = st.lists(WIDE_COEFF, max_size=6)
+
+
+def _assert_normal_form(p):
+    assert type(p.den) is int and p.den > 0
+    assert all(type(n) is int for n in p.num)
+    assert not p.num or p.num[-1] != 0
+    assert gcd(p.den, *p.num) == 1
+    assert p.num or p.den == 1
+    cs = p.coeffs
+    assert type(cs) is tuple and all(type(c) is Fraction for c in cs)
+    # ascending: multiplying by x shifts the coefficients up by one
+    assert (Poly.x() * p).coeffs == ((Fraction(0),) + cs if cs else ())
+
+
+def _assert_matches(p, ref):
+    """p has the reference's coefficients and is in normal form."""
+    assert p.coeffs == ref
+    _assert_normal_form(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(WIDE_COEFFS, WIDE_COEFFS, WIDE_COEFF)
+def test_poly_matches_fraction_reference(ca, cb, k):
+    a, b = Poly(ca), Poly(cb)
+    ra, rb = _ref_trim(ca), _ref_trim(cb)
+    _assert_matches(a, ra)
+    _assert_matches(b, rb)
+    _assert_matches(a + b, _ref_add(ra, rb))
+    _assert_matches(a - b, _ref_add(ra, _ref_neg(rb)))
+    _assert_matches(-a, _ref_neg(ra))
+    _assert_matches(a * b, _ref_mul(ra, rb))
+    # scalar operands on either side
+    rk = _ref_trim([k])
+    for p in (a + k, k + a):
+        _assert_matches(p, _ref_add(ra, rk))
+    _assert_matches(a - k, _ref_add(ra, _ref_neg(rk)))
+    _assert_matches(k - a, _ref_add(rk, _ref_neg(ra)))
+    for p in (a * k, k * a):
+        _assert_matches(p, _ref_mul(ra, rk))
+    assert (a == k) == (ra == rk)
+    for divisor, ref in ((b, rb), (k, rk)):
+        if ref:
+            q, r = a.divmod(divisor)
+            rq, rr = _ref_divmod(ra, ref)
+            _assert_matches(q, rq)
+            _assert_matches(r, rr)
+    unit, assoc = QQX.canonicalize(a)
+    ref_unit, ref_assoc = _ref_canonicalize(ra)
+    _assert_matches(unit, ref_unit)
+    _assert_matches(assoc, ref_assoc)
+    _assert_matches(QQX.unit_inverse(unit), (1 / ref_unit[0],))
+    # parse/format round trip, and the printed form
+    doc = QQX.format_entry(a)
+    assert doc == [str(c) for c in ra]
+    assert QQX.parse_entry(doc) == a
+    assert str(a) == _ref_str(ra)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(WIDE_COEFF, max_size=4), st.lists(WIDE_COEFF, max_size=4))
+def test_poly_xgcd_matches_fraction_reference(ca, cb):
+    got = QQX.xgcd(Poly(ca), Poly(cb))
+    ref = _ref_xgcd(_ref_trim(ca), _ref_trim(cb))
+    for p, r in zip(got, ref):
+        _assert_matches(p, r)
+
+
+@settings(max_examples=100, deadline=None)
+@given(WIDE_COEFFS, WIDE_COEFFS)
+def test_poly_equal_values_have_one_form(ca, cb):
+    # equal polynomials reached by different routes are equal and hash alike
+    a, b = Poly(ca), Poly(cb)
+    routes = [
+        Poly([Fraction(c) for c in ca] + [0, Fraction(0)]),
+        Poly(a.coeffs),
+        (a + b) - b,
+        b + (a - b),
+        a * 1,
+        QQX.parse_entry(QQX.format_entry(a)),
+    ]
+    if b:
+        q, r = a.divmod(b)
+        routes += [q * b + r, QQX.exact_div(a * b, b)]
+    for p in routes:
+        _assert_normal_form(p)
+        assert p == a and hash(p) == hash(a)
+    assert a - a == Poly() == 0 and hash(a - a) == hash(Poly())
+
+
+def test_poly_arithmetic_creates_no_fraction(monkeypatch):
+    import bezmat.rings as rings
+
+    def forbidden(*args):
+        raise AssertionError("Fraction created in Poly arithmetic")
+
+    x, seven = Poly.x(), Poly.constant(7)
+    a = Poly([Fraction(1, 2), 3, Fraction(-5, 7)])
+    b = x * x - Fraction(2, 3) * x + Fraction(4, 9)
+    monkeypatch.setattr(rings, "Fraction", forbidden)
+    a + b, a - b, a * b, -a, a.divmod(b), a == b
+    QQX.xgcd(a * b, b * (x + 1))
+    QQX.canonicalize(a), QQX.unit_inverse(seven), QQX.format_entry(a)
+
+
 def test_int_parse_format_round_trip():
     for v in (0, 7, -13, 10**30):
         assert ZZ.parse_entry(ZZ.format_entry(v)) == v
@@ -198,3 +394,5 @@ def test_poly_str_forms():
     x = Poly.x()
     assert str(Poly()) == "0"
     assert "x" in str(x * x + 1)
+    # unit coefficients print bare whatever the common denominator
+    assert str(Poly([Fraction(-1, 2), 1, Fraction(2, 3), 1])) == "-1/2 + x + 2/3*x^2 + x^3"
