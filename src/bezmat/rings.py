@@ -71,8 +71,8 @@ class Poly:
         cs = [c if isinstance(c, (int, Fraction)) else Fraction(c) for c in coeffs]
         den = lcm(*(c.denominator for c in cs))
         p = _poly([c.numerator * (den // c.denominator) for c in cs], den)
-        object.__setattr__(self, "num", p.num)
-        object.__setattr__(self, "den", p.den)
+        _set_num(self, p.num)
+        _set_den(self, p.den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Poly is immutable")
@@ -234,6 +234,8 @@ class Poly:
         return f"Poly({list(self.coeffs)!r})"
 
 
+# The slot setters get past the __setattr__ guard more cheaply than
+# object.__setattr__; every arithmetic result is built through them.
 _new = object.__new__
 _set_num = Poly.num.__set__
 _set_den = Poly.den.__set__
