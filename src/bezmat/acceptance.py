@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import sys
 import time
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     BezmatError,
@@ -44,14 +44,8 @@ from .rings import ZZ, get_ring
 from .similarity import VARIANTS, corollary_check, cline_verify, power_witness, similarity_witness, verify_witness
 
 
-@dataclass
-class SuiteResult:
-    criterion: int
-    name: str
-    passed: bool
-    count: int
-    detail: str
-    duration: float
+class SuiteResult(namedtuple("SuiteResult", "criterion name passed count detail duration")):
+    __slots__ = ()
 
     @property
     def line(self) -> str:

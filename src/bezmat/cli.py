@@ -244,11 +244,12 @@ def _cmd_witness(args) -> dict:
 
 def _cmd_witness_power(args) -> dict:
     a, b, c = _load_triple(args)
-    s, dr_ab = args.s, None
+    s, ab, dr_ab = args.s, None, None
     if s is None:
-        dr_ab = drazin(a @ b)
+        ab = a @ b
+        dr_ab = drazin(ab)
         s = max(dr_ab.index, 1)
-    doc = witness_to_doc(_power_witness(a, b, c, s, dr_ab), {"power_product": True})
+    doc = witness_to_doc(_power_witness(a, b, c, s, ab, dr_ab), {"power_product": True})
     doc["s"] = s
     return doc
 

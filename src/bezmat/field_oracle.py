@@ -42,7 +42,7 @@ agree with itself here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import faults
 from .errors import InternalAssertion, NotDivisible, NotSquare
@@ -133,9 +133,13 @@ def _drazin_num(x: Mat):
 def _verify(x: Mat, num: Mat, den, k: int) -> None:
     """Drazin equations of index k for num / den, on the numerator form."""
     xn = x @ num
-    pk = x ** k
-    # at k == 0, X N == delta I already gives N X N == delta N
-    if xn != num @ x or pk @ xn != pk.scale(den) or (k and num @ xn != num.scale(den)):
+    if k:
+        pk = x ** k
+        ok = pk @ xn == pk.scale(den) and num @ xn == num.scale(den)
+    else:
+        # X N == delta I, which already gives N X N == delta N
+        ok = xn == Mat.identity(x.ring, x.n).scale(den)
+    if xn != num @ x or not ok:
         raise InternalAssertion(f"oracle Drazin inverse of index {k} failed its equations")
 
 
@@ -149,17 +153,13 @@ def _lower(num: Mat, den):
     return Mat._raw(ring, num.m, num.n, rows)
 
 
-@dataclass(frozen=True)
-class OracleReport:
-    ring: str
-    n: int
-    rank: int
-    group_exists: bool          # over the fraction field
-    group_integral: bool | None  # None when no field-level inverse
-    group_ring: Mat | None      # ring-level value when it exists
-    drazin_index: int
-    drazin_integral: bool
-    drazin_ring: Mat | None
+# group_exists is decided over the fraction field; group_integral is None
+# when there is no field-level inverse; group_ring and drazin_ring are the
+# ring-level values when they exist, else None.
+OracleReport = namedtuple(
+    "OracleReport",
+    "ring n rank group_exists group_integral group_ring drazin_index drazin_integral drazin_ring",
+)
 
 
 def fraction_field_oracle(x: Mat) -> OracleReport:

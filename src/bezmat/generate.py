@@ -46,7 +46,7 @@ coefficients of polynomials.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .errors import GenerationExhausted, InternalAssertion, NotDrazinInvertible
@@ -87,33 +87,46 @@ class SplitMix64:
         return seq[self.below(len(seq))]
 
 
-@dataclass(frozen=True)
-class GenConfig:
-    ring: str = "int"
-    n: int = 3
-    seed: int = 0
-    entry_bound: int = 9
-    core_rank: int = 1
+class GenConfig(namedtuple(
+    "GenConfig", "ring n seed entry_bound core_rank", defaults=("int", 3, 0, 9, 1)
+)):
+    __slots__ = ()
 
     def to_dict(self) -> dict:
-        return {
-            "ring": self.ring,
-            "n": self.n,
-            "seed": self.seed,
-            "entry_bound": self.entry_bound,
-            "core_rank": self.core_rank,
-        }
+        return self._asdict()
 
 
-@dataclass(frozen=True)
 class GeneratedTriple:
-    A: Mat
-    B: Mat
-    C: Mat
-    retries: int
+    """A generated triple with the retries its generator spent; it
+    iterates as (A, B, C), so it unpacks like the triple itself."""
+
+    __slots__ = ("A", "B", "C", "retries")
+
+    def __init__(self, A: Mat, B: Mat, C: Mat, retries: int):
+        object.__setattr__(self, "A", A)
+        object.__setattr__(self, "B", B)
+        object.__setattr__(self, "C", C)
+        object.__setattr__(self, "retries", retries)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GeneratedTriple is immutable")
 
     def __iter__(self):
         return iter((self.A, self.B, self.C))
+
+    def _key(self):
+        return self.A, self.B, self.C, self.retries
+
+    def __eq__(self, other):
+        if not isinstance(other, GeneratedTriple):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        return "GeneratedTriple(A={!r}, B={!r}, C={!r}, retries={!r})".format(*self._key())
 
 
 def _rand_element(ring, rng: SplitMix64, bound: int):

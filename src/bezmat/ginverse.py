@@ -29,7 +29,7 @@ is invertible with index 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     InternalAssertion,
@@ -42,24 +42,9 @@ from .errors import (
 from .matrix import Mat, block_diag, det, inverse_over_ring, split_blocks
 from .normal_forms import column_module_basis, rank_factorization
 
-
-@dataclass(frozen=True)
-class GroupInverseResult:
-    ginv: Mat
-
-
-@dataclass(frozen=True)
-class DrazinResult:
-    index: int
-    dinv: Mat
-
-
-@dataclass(frozen=True)
-class CoreSplit:
-    H: Mat
-    Hinv: Mat
-    M: Mat
-    r: int
+GroupInverseResult = namedtuple("GroupInverseResult", "ginv")
+DrazinResult = namedtuple("DrazinResult", "index dinv")
+CoreSplit = namedtuple("CoreSplit", "H Hinv M r")
 
 
 def _index_search(x: Mat, last: int):

@@ -25,31 +25,18 @@ construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import InternalAssertion, NoSolution
 from .matrix import Mat
 
-
-@dataclass(frozen=True)
-class HermiteResult:
-    H: Mat
-    T: Mat
-    pivot_rows: tuple
+HermiteResult = namedtuple("HermiteResult", "H T pivot_rows")
+RowHermiteResult = namedtuple("RowHermiteResult", "H T pivot_cols")
+RankFactorization = namedtuple("RankFactorization", "L Rt r")
 
 
-@dataclass(frozen=True)
-class RowHermiteResult:
-    H: Mat
-    T: Mat
-    pivot_cols: tuple
-
-
-@dataclass(frozen=True)
-class SmithResult:
-    U: Mat
-    S: Mat
-    V: Mat
+class SmithResult(namedtuple("SmithResult", "U S V")):
+    __slots__ = ()
 
     def diagonal(self):
         k = min(self.S.m, self.S.n)
@@ -65,13 +52,6 @@ class SmithResult:
     @property
     def rank(self) -> int:
         return len(self.diagonal())
-
-
-@dataclass(frozen=True)
-class RankFactorization:
-    L: Mat
-    Rt: Mat
-    r: int
 
 
 def column_hermite(a: Mat) -> HermiteResult:

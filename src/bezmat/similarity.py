@@ -31,7 +31,7 @@ W = H1 @ H2^-1 through the same code path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import faults
 from .errors import (
@@ -49,32 +49,22 @@ from .matrix import Mat, block_diag, inverse_over_ring, split_blocks
 from .normal_forms import col_module_equal
 
 
-@dataclass(frozen=True)
-class SimilarityWitness:
+class SimilarityWitness(namedtuple(
+    "SimilarityWitness", "W Winv r1 X Y H1 H2 Acore AcoreInv Xginv Yginv"
+)):
     """W with X == W @ Y @ Winv for the products X = A@B and Y = C@A of
     the triple it was built from (for a power witness, (A@B)^s and
     (C@A)^s), with the pieces of its construction; Xginv and Yginv are
     the group inverses of X and Y."""
 
-    W: Mat
-    Winv: Mat
-    r1: int
-    X: Mat
-    Y: Mat
-    H1: Mat
-    H2: Mat
-    Acore: Mat
-    AcoreInv: Mat
-    Xginv: Mat
-    Yginv: Mat
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HypothesisReport:
-    aba_equals_aca: bool
-    ab_group_invertible: bool
-    ca_group_invertible: bool
-    variant_conditions: tuple = ()
+HypothesisReport = namedtuple(
+    "HypothesisReport",
+    "aba_equals_aca ab_group_invertible ca_group_invertible variant_conditions",
+    defaults=((),),
+)
 
 
 VARIANTS = ("cor22", "cor23", "thm22", "cor24")
@@ -92,11 +82,12 @@ def _validate_triple(a: Mat, b: Mat, c: Mat):
         raise DimensionMismatch("similarity inputs must share one shape")
 
 
-def _shared_products(a: Mat, b: Mat, c: Mat):
+def _shared_products(a: Mat, b: Mat, c: Mat, ab: Mat | None = None):
     """(A@B, C@A, A@B@A) of a valid triple with A@B@A == A@C@A; raises
-    HypothesisViolated, carrying both sides, otherwise."""
+    HypothesisViolated, carrying both sides, otherwise.  ab is A@B when
+    the caller has already formed it."""
     _validate_triple(a, b, c)
-    x = a @ b
+    x = a @ b if ab is None else ab
     y = c @ a
     aba = x @ a
     aca = a @ y
@@ -296,13 +287,13 @@ def power_witness(a: Mat, b: Mat, c: Mat, s: int) -> SimilarityWitness:
     assumed, so a (C@A)-side failure at s == k surfaces as
     NotGroupInvertible.
     """
-    return _power_witness(a, b, c, s, None)
+    return _power_witness(a, b, c, s, None, None)
 
 
-def _power_witness(a: Mat, b: Mat, c: Mat, s: int, dr_ab) -> SimilarityWitness:
-    """power_witness, reusing the Drazin inverse dr_ab of A@B when the
-    caller already has it (None computes it)."""
-    x, y, _ = _shared_products(a, b, c)
+def _power_witness(a: Mat, b: Mat, c: Mat, s: int, ab, dr_ab) -> SimilarityWitness:
+    """power_witness, reusing the product ab = A@B and its Drazin inverse
+    dr_ab when the caller already has them (None computes each)."""
+    x, y, _ = _shared_products(a, b, c, ab)
     if dr_ab is None:
         dr_ab = drazin(x)  # may raise NotDrazinInvertible
     k = dr_ab.index

@@ -8,6 +8,7 @@ over the ring, 4 format/usage errors, 5 internal assertions.
 """
 
 import json
+import os
 import subprocess
 import sys
 
@@ -82,6 +83,35 @@ def test_module_entry_point_witness(write_doc):
     assert matrix_from_doc(doc["W"]) == Mat.from_rows(ZZ, [[0, 1], [1, 0]])
     assert doc["r1"] == 1
     assert all(doc["verified"].values())
+
+
+_COLD_IMPORT = """
+import json, sys
+import bezmat.cli
+loaded = set(sys.modules)
+sys.path.insert(0, sys.argv[1])
+import tracer
+print(json.dumps({
+    "heavy": sorted({"dataclasses", "inspect"} & loaded),
+    "untraceable": sorted(
+        f"{mod}.{attr}" for mod, attr, *_ in tracer.SPANNED + tracer.COUNTED
+        if mod not in loaded or not hasattr(sys.modules[mod], attr)
+    ),
+}))
+"""
+
+
+def test_cold_import_of_cli_is_light_and_traceable():
+    # every CLI request pays for this import; dataclasses pulls in
+    # inspect, ast, dis and tokenize.  The benchmark tracer wraps what it
+    # finds in sys.modules right after the import, so every module it
+    # spans must be loaded eagerly.
+    bench = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir, "bench")
+    proc = subprocess.run(
+        [sys.executable, "-c", _COLD_IMPORT, bench], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"heavy": [], "untraceable": []}
 
 
 # ---------------------------------------------------------------------------
@@ -166,9 +196,9 @@ def test_drazin_verbs_derive_each_inverse_once(write_doc, count_calls, verb, dra
         assert doc["verified"] is True and doc["index_ab"] == 2
     else:
         assert doc["s"] == 2 and doc["verified"] == {"power_product": True}
-        # A@B' and C'@A are formed once, and the power identity is
+        # A@B, A@B' and C'@A are formed once, and the power identity is
         # evaluated once, by the library
-        assert counts["__matmul__"] <= 91
+        assert counts["__matmul__"] <= 88
     assert counts["drazin"] == drazin_calls
 
 
@@ -296,6 +326,28 @@ def test_exit_2_index_too_small(write_doc):
     assert doc["error"] == "IndexTooSmall"
     assert doc["s"] == 0
     assert doc["index"] == 1
+
+
+def test_witness_power_reports_errors_in_input_order(write_doc):
+    # doubly invalid inputs: witness-power without --s forms A@B and its
+    # Drazin inverse before it checks the triple, so a shape error comes
+    # from that product, and a product with no Drazin inverse exits 3
+    # although the shared-product hypothesis fails as well
+    wide = write_doc("w.json", {"ring": "int", "rows": 2, "cols": 3, "entries": [["1", "0", "0"], ["0", "1", "0"]]})
+    sq = write_doc("s.json", BAD_B)
+    code, doc = run_json(["witness-power", wide, sq, sq])
+    assert code == 4
+    assert doc == {"error": "DimensionMismatch", "message": "matmul: (2, 3) @ (2, 2)"}
+    a = write_doc("a.json", {"ring": "int", "rows": 2, "cols": 2, "entries": [["2", "0"], ["0", "1"]]})
+    ident = write_doc("i.json", {"ring": "int", "rows": 2, "cols": 2, "entries": [["1", "0"], ["0", "1"]]})
+    zero = write_doc("z.json", {"ring": "int", "rows": 2, "cols": 2, "entries": [["0", "0"], ["0", "0"]]})
+    code, doc = run_json(["witness-power", a, ident, zero])
+    assert code == 3
+    assert doc["error"] == "NotDrazinInvertible"
+    # with --s no Drazin inverse is needed first, so the hypothesis fails
+    code, doc = run_json(["witness-power", a, ident, zero, "--s", "1"])
+    assert code == 2
+    assert doc["error"] == "HypothesisViolated"
 
 
 def test_exit_3_not_group_invertible(write_doc):

@@ -9,8 +9,8 @@ from fractions import Fraction
 import pytest
 
 from bezmat import faults
-from bezmat.errors import NotSquare
-from bezmat.field_oracle import fraction_field_oracle
+from bezmat.errors import InternalAssertion, NotSquare
+from bezmat.field_oracle import _verify, fraction_field_oracle
 from bezmat.matrix import Mat
 from bezmat.rings import QQ, QQX, ZZ, Poly
 
@@ -153,3 +153,28 @@ def test_oracle_fault_flips_integrality():
     # switch off: behaviour restored
     rep = fraction_field_oracle(x)
     assert rep.group_integral and rep.drazin_integral
+
+
+# (X, N, delta, k): each candidate breaks exactly one of X N == N X,
+# X^(k+1) N == delta X^k and N X N == delta N (at k == 0 the second reads
+# X N == delta I)
+BROKEN_CANDIDATES = {
+    "k0-scaled-inverse": ([[2, 1], [1, 1]], [[2, -2], [-2, 4]], 1, 0),
+    "k1-no-commute": ([[1, 1], [0, 0]], [[0, 0], [1, 1]], 1, 1),
+    "k1-power": ([[1, 0], [0, 0]], [[0, 0], [0, 0]], 1, 1),
+    "k1-reflexive": ([[1, 0], [0, 0]], [[1, 0], [0, 1]], 1, 1),
+    "k2-power": ([[1, 0, 0], [0, 0, 1], [0, 0, 0]], [[0, 0, 0], [0, 0, 0], [0, 0, 0]], 1, 2),
+}
+
+
+def test_verify_accepts_the_drazin_equations():
+    _verify(mat([[2, 1], [1, 1]]), mat([[2, -2], [-2, 4]]), 2, 0)
+    _verify(mat([[1, 1], [0, 0]]), mat([[1, 1], [0, 0]]), 1, 1)
+    _verify(mat([[1, 0, 0], [0, 0, 1], [0, 0, 0]]), mat([[1, 0, 0], [0, 0, 0], [0, 0, 0]]), 1, 2)
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN_CANDIDATES))
+def test_verify_rejects_each_broken_equation(case):
+    x, num, den, k = BROKEN_CANDIDATES[case]
+    with pytest.raises(InternalAssertion, match=f"index {k} failed"):
+        _verify(mat(x), mat(num), den, k)
