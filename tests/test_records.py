@@ -22,7 +22,7 @@ A = Mat.from_rows(ZZ, [[0, 1], [0, 0]])
 B = Mat.from_rows(ZZ, [[0, 0], [1, 0]])
 CFG = GenConfig(ring="int", n=4, seed=5, entry_bound=5, core_rank=2)
 
-BUILDERS = {
+RECORDS = {
     "HermiteResult": lambda: column_hermite(X),
     "RowHermiteResult": lambda: row_hermite(X),
     "SmithResult": lambda: smith(X),
@@ -61,9 +61,9 @@ FIELDS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(BUILDERS))
+@pytest.mark.parametrize("name", sorted(RECORDS))
 def test_record_is_an_immutable_value(name):
-    rec, again = BUILDERS[name](), BUILDERS[name]()
+    rec, again = RECORDS[name](), RECORDS[name]()
     assert type(rec).__name__ == name
     for field in FIELDS[name]:
         with pytest.raises(AttributeError):
@@ -75,9 +75,9 @@ def test_record_is_an_immutable_value(name):
     assert repr(rec) == f"{name}({parts})"
 
 
-@pytest.mark.parametrize("name", sorted(set(BUILDERS) - {"GeneratedTriple"}))
+@pytest.mark.parametrize("name", sorted(set(RECORDS) - {"GeneratedTriple"}))
 def test_named_tuple_records_unpack_and_index(name):
-    rec = BUILDERS[name]()
+    rec = RECORDS[name]()
     assert rec._fields == FIELDS[name]
     assert tuple(rec) == tuple(getattr(rec, field) for field in FIELDS[name])
     assert rec[0] is getattr(rec, FIELDS[name][0])
