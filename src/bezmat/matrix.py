@@ -241,14 +241,14 @@ class Mat:
             raise NotSquare("matrix power needs a square matrix")
         if k < 0:
             raise ValueError("negative matrix powers are not defined here")
-        result = Mat.identity(self.ring, self.n)
-        base = self
+        result, base = None, self
         while k:
             if k & 1:
-                result = result @ base
-            base = base @ base if k > 1 else base
+                result = base if result is None else result @ base
             k >>= 1
-        return result
+            if k:
+                base = base @ base
+        return Mat.identity(self.ring, self.n) if result is None else result
 
     def __repr__(self):
         body = "; ".join(

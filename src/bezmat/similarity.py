@@ -11,22 +11,31 @@ fully checkable at runtime:
 
   1. The shared-product identity gives the intertwining X @ A == A @ Y.
   2. Compute group inverses X^#, Y^#.
-  3. Core-split both: X == H1 @ diag(M1, 0) @ H1^-1 and
-     Y == H2 @ diag(M2, 0) @ H2^-1 with M1, M2 invertible r1 x r1.
-  4. At = H1^-1 @ A @ H2 then has zero off-diagonal blocks, because
-     diag(M1, 0) @ At == At @ diag(M2, 0) and the cores are invertible.
-  5. The top-left block At11 is invertible over the ring: with
-     Q = Y @ Y^# @ B @ X^#, the identity A @ Q == X @ X^# (a consequence
-     of the intertwining and the group-inverse equations) forces
-     At11 @ G11 == I for G11 the top-left block of H2^-1 @ Q @ H1.
-  6. W  = H1 @ diag(At11, I) @ H2^-1 and
-     Winv = H2 @ diag(G11, I) @ H1^-1 satisfy W @ Winv == I and
-     A@B == W @ (C@A) @ Winv; both are verified before returning.
+  3. Form the core projectors P = X @ X^# and P' = Y @ Y^#, and the
+     inverse candidate Q = P' @ B @ X^#.  The shared-product identity
+     and the group-inverse equations give A @ Q == P and Q @ A == P'.
+  4. Take rank factorizations I - P == L1 @ Rt1 and I - P' == L2 @ Rt2.
+     Both have rank n - r1, r1 being the common rank of X and Y.
+  5. W  = P @ A @ P' + L1 @ Rt2 and
+     Winv = Q + L2 @ Rt1.
+     On the images, P @ A @ P' maps im P' onto im P and Q maps it
+     back.  Over the fraction field X^# is a polynomial in X and Y^#
+     the same polynomial in Y, so X @ A == A @ Y gives
+     P @ A == A @ P' (and P @ A @ P' == A @ P', the form computed);
+     with step 3, P @ A @ P' @ Q == P and Q @ P @ A @ P' == P'.  On
+     the kernels, L1 @ Rt2 and L2 @ Rt1 are mutually inverse between
+     ker P' and ker P, since Rt @ L == I and Rt @ P == 0 for a rank
+     factorization of the idempotent I - P; the same two identities
+     make the cross terms vanish.  X and Y vanish on the kernels, so W
+     conjugates Y to X there as well.
+  6. W @ Winv == I and A@B == W @ (C@A) @ Winv are verified before
+     returning.
 
-Every step that the underlying theory guarantees is asserted; a failed
-assertion raises InternalAssertion with a replayable instance dump,
-never a silent wrong answer.  The degenerate rank-0 case yields
-W = H1 @ H2^-1 through the same code path.
+The construction is checked, not assumed: unequal ranks in step 4 or a
+failed step 6 raise InternalAssertion with a replayable instance dump,
+never a silent wrong answer.  No case is special: at rank 0, P and P'
+vanish and W == L1 @ Rt2 with L1 and Rt2 square and unimodular; at full
+rank the kernel terms are empty and W == A.
 """
 
 from __future__ import annotations
@@ -44,18 +53,16 @@ from .errors import (
     NotDrazinInvertible,
     NotSquare,
 )
-from .ginverse import _core_split_with, _group_inverse_attempt, drazin, group_inverse
-from .matrix import Mat, block_diag, inverse_over_ring, split_blocks
-from .normal_forms import col_module_equal
+from .ginverse import _group_inverse_attempt, drazin, group_inverse
+from .matrix import Mat, inverse_over_ring
+from .normal_forms import col_module_equal, rank_factorization
 
 
-class SimilarityWitness(namedtuple(
-    "SimilarityWitness", "W Winv r1 X Y H1 H2 Acore AcoreInv Xginv Yginv"
-)):
+class SimilarityWitness(namedtuple("SimilarityWitness", "W Winv r1 X Y Xginv Yginv")):
     """W with X == W @ Y @ Winv for the products X = A@B and Y = C@A of
     the triple it was built from (for a power witness, (A@B)^s and
-    (C@A)^s), with the pieces of its construction; Xginv and Yginv are
-    the group inverses of X and Y."""
+    (C@A)^s); r1 is the common rank of the cores of X and Y, and Xginv
+    and Yginv are the group inverses of X and Y."""
 
     __slots__ = ()
 
@@ -138,63 +145,24 @@ def similarity_witness(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
 def _witness_from(a: Mat, b: Mat, c: Mat, x: Mat, y: Mat, xg: Mat, yg: Mat) -> SimilarityWitness:
     """Steps 3-6 for a triple with A@B@A == A@C@A, given X = A@B and
     Y = C@A and their group inverses xg and yg."""
-    ring = a.ring
-    n = a.n
-    cs1 = _core_split_with(x, xg)
-    cs2 = _core_split_with(y, yg)
-    if cs1.r != cs2.r:
+    ident = Mat.identity(a.ring, a.n)
+    p1 = x @ xg
+    p2 = y @ yg
+    k1 = rank_factorization(ident - p1)
+    k2 = rank_factorization(ident - p2)
+    if k1.r != k2.r:
         raise InternalAssertion(
             "similar products reported different core ranks",
             instance=_instance_dump(a, b, c, "core-rank"),
         )
-    r1 = cs1.r
-    h1, h2 = cs1.H, cs2.H
-    h1inv, h2inv = cs1.Hinv, cs2.Hinv
-
-    at = h1inv @ a @ h2
-    at11, at12, at21, _ = split_blocks(at, r1)
-    if not (at12.is_zero() and at21.is_zero()):
-        raise InternalAssertion(
-            "transformed middle factor has nonzero off-diagonal blocks",
-            instance=_instance_dump(a, b, c, "block-zeroing"),
-        )
-
-    q = y @ yg @ b @ xg
-    g = h2inv @ q @ h1
-    g11, g12, g21, g22 = split_blocks(g, r1)
-    if not (g12.is_zero() and g21.is_zero() and g22.is_zero()):
-        raise InternalAssertion(
-            "inverse candidate is not supported on the cores",
-            instance=_instance_dump(a, b, c, "support"),
-        )
-    ident_r = Mat.identity(ring, r1)
-    if faults.active("witness") or at11 @ g11 != ident_r or g11 @ at11 != ident_r:
-        raise InternalAssertion(
-            "core block of the middle factor failed to invert",
-            instance=_instance_dump(a, b, c, "core-inverse"),
-        )
-
-    ident_tail = Mat.identity(ring, n - r1)
-    w = h1 @ block_diag(at11, ident_tail) @ h2inv
-    winv = h2 @ block_diag(g11, ident_tail) @ h1inv
-    if w @ winv != Mat.identity(ring, n) or w @ y @ winv != x:
+    w = a @ p2 + k1.L @ k2.Rt  # A @ P' == P @ A @ P'
+    winv = p2 @ b @ xg + k2.L @ k1.Rt
+    if faults.active("witness") or w @ winv != ident or w @ y @ winv != x:
         raise InternalAssertion(
             "witness failed final verification",
             instance=_instance_dump(a, b, c, "final"),
         )
-    return SimilarityWitness(
-        W=w,
-        Winv=winv,
-        r1=r1,
-        X=x,
-        Y=y,
-        H1=h1,
-        H2=h2,
-        Acore=at11,
-        AcoreInv=g11,
-        Xginv=xg,
-        Yginv=yg,
-    )
+    return SimilarityWitness(W=w, Winv=winv, r1=a.n - k1.r, X=x, Y=y, Xginv=xg, Yginv=yg)
 
 
 def verify_witness(a: Mat, b: Mat, c: Mat, w: Mat, mode: str = "product") -> bool:
@@ -225,9 +193,11 @@ def _conjugations(x, y, w, winv, modes, xg=None, yg=None) -> dict:
 
     Each group or Drazin inverse is computed at most once for all the
     modes, and none at all when the group inverses xg of X and yg of Y
-    are given: they are then also X^D and Y^D.
+    are given: they are then also X^D and Y^D, and the core X^2 @ X^#
+    is formed as X @ (X @ X^#) from the projector.
     """
     ver = {}
+    proj = None  # the core projectors X @ X^# and Y @ Y^#, once formed
     for mode in modes:
         if mode == "product":
             lhs, rhs = x, y
@@ -240,10 +210,12 @@ def _conjugations(x, y, w, winv, modes, xg=None, yg=None) -> dict:
                 yg = group_inverse(y).ginv
             if mode == "ginv":
                 lhs, rhs = xg, yg
-            elif mode == "projector":
-                lhs, rhs = x @ xg, y @ yg
             else:
-                lhs, rhs = x @ x @ xg, y @ y @ yg
+                if proj is None:
+                    proj = (x @ xg, y @ yg)
+                lhs, rhs = proj
+                if mode == "core":
+                    lhs, rhs = x @ lhs, y @ rhs
         ver[mode] = lhs == w @ rhs @ winv
     return ver
 

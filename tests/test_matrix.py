@@ -141,6 +141,21 @@ def test_matmul_and_power():
         mat([[1, 2]]) ** 2
 
 
+def test_power_starts_from_the_first_factor(count_calls):
+    # x ** k forms no product with the identity: k = 0..4 take 0, 0, 1, 2
+    # and 2 products
+    a = mat([[1, 1], [2, 3]])
+    counts = count_calls(("bezmat.matrix", "Mat.__matmul__"))
+    for k, products in enumerate((0, 0, 1, 2, 2)):
+        counts.clear()
+        power = a ** k
+        assert counts["__matmul__"] == products
+        expected = Mat.identity(ZZ, 2)
+        for _ in range(k):
+            expected = expected @ a
+        assert power == expected
+
+
 def test_transpose_submatrix_stacking():
     a = mat([[1, 2, 3], [4, 5, 6]])
     assert a.transpose().tolist() == [[1, 4], [2, 5], [3, 6]]

@@ -7,6 +7,7 @@ exchange results) were computed independently by hand and frozen here.
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bezmat import faults
 from bezmat.errors import (
@@ -20,6 +21,7 @@ from bezmat.errors import (
     NotSquare,
     RingMismatch,
 )
+from bezmat.generate import GenConfig, gen_flanders_triple
 from bezmat.matrix import Mat, inverse_over_ring
 from bezmat.rings import QQ, ZZ
 from bezmat.similarity import (
@@ -94,7 +96,18 @@ def test_witness_zero_core():
     z = Mat.zeros(ZZ, 2, 2)
     wit = similarity_witness(a, z, z)
     assert wit.r1 == 0
-    assert wit.W @ wit.Winv == Mat.identity(ZZ, 2)
+    # P and P' vanish, and I - P == I factors as I @ I on both sides
+    assert wit.W == wit.Winv == Mat.identity(ZZ, 2)
+
+
+def test_witness_full_core():
+    # A@B is unimodular, so P == P' == I, the kernel terms are empty,
+    # W == P @ A @ P' == A and W^-1 == Q == B @ (A@B)^-1 == A^-1
+    a, b = mat([[2, 1], [1, 1]]), mat([[1, 1], [0, 1]])
+    wit = similarity_witness(a, b, b)
+    assert wit.r1 == 2
+    assert wit.W == a
+    assert wit.Winv == mat([[1, -1], [-1, 2]])
 
 
 def test_witness_hypothesis_violated_carries_products():
@@ -172,6 +185,25 @@ def test_conjugate_witnesses_same_w():
     a, b, c = swap_triple()
     wit = conjugate_witnesses(a, b, c)
     assert wit.W == similarity_witness(a, b, c).W
+
+
+@st.composite
+def flanders_configs(draw):
+    ring = draw(st.sampled_from(["int", "rat", "polyrat"]))
+    n = draw(st.integers(1, 4 if ring == "polyrat" else 6))
+    core_rank = draw(st.integers(0, n))
+    seed = draw(st.integers(0, 10**6))
+    return GenConfig(ring=ring, n=n, seed=seed, entry_bound=3, core_rank=core_rank)
+
+
+@settings(max_examples=60, deadline=None)
+@given(cfg=flanders_configs(), c_equals_b=st.booleans())
+def test_generated_witness_verifies_in_every_mode(cfg, c_equals_b):
+    a, b, c = gen_flanders_triple(cfg, c_equals_b=c_equals_b)
+    wit = conjugate_witnesses(a, b, c)
+    assert wit.r1 == cfg.core_rank
+    for mode in ("product", "ginv", "projector", "core"):
+        assert verify_witness(a, b, c, wit.W, mode=mode) is True
 
 
 # ---------------------------------------------------------------------------
@@ -294,5 +326,25 @@ def test_witness_fault_raises_internal_assertion_with_dump():
     dump = exc_info.value.instance
     assert dump is not None
     assert {"A", "B", "C", "stage"} <= set(dump)
+    assert dump["stage"] == "final"
     # switch off: construction succeeds again
     assert similarity_witness(a, b, c).r1 == 1
+
+
+def test_unequal_core_ranks_raise_internal_assertion(monkeypatch):
+    # the two rank factorizations cannot disagree on valid input; if they
+    # do, the construction stops with a dump instead of building W
+    from bezmat import similarity
+
+    real = similarity.rank_factorization
+    calls = []
+
+    def second_rank_off(m):
+        calls.append(m)
+        rf = real(m)
+        return rf._replace(r=rf.r + 1) if len(calls) == 2 else rf
+
+    monkeypatch.setattr(similarity, "rank_factorization", second_rank_off)
+    with pytest.raises(InternalAssertion) as exc_info:
+        similarity_witness(*swap_triple())
+    assert exc_info.value.instance["stage"] == "core-rank"
