@@ -18,9 +18,12 @@ The row form is the transpose story.  The Smith form is returned as
 A == U @ S @ V with S diagonal, each diagonal entry canonical and
 dividing the next.
 
-All elimination uses the 2x2 unimodular block provided by the ring's
-xgcd, so every accumulated transform has unit determinant by
-construction.
+Every elimination step is unimodular, so every accumulated transform
+has unit determinant by construction.  The Hermite form uses column
+swaps, scaling by a unit, and shears by remainder quotients
+(``ring.small_quotient``, then ``ring.pivot_reduce`` left of a pivot);
+it calls no xgcd.  The Smith form also uses the 2x2 unimodular block
+given by the ring's xgcd.
 """
 
 from __future__ import annotations
@@ -55,72 +58,88 @@ class SmithResult(namedtuple("SmithResult", "U S V")):
 
 
 def column_hermite(a: Mat) -> HermiteResult:
+    """A @ T == H with H the canonical column form and T unimodular.
+
+    Pivot row i is cleared in the columns k.. not yet reduced by a
+    remainder loop: the entry of least ``ring.size`` is the candidate,
+    and every other nonzero entry loses the ``ring.small_quotient``
+    multiple of its column.  Each pass leaves only remainders smaller
+    than the candidate, so the loop ends with one nonzero entry; its
+    column moves to k, is scaled to the canonical associate, and the
+    entries to its left are reduced by ``ring.pivot_reduce``.  The
+    quotients stay as small as the entries, where an xgcd 2x2 block
+    would multiply whole columns by cofactors as large as the entries.
+
+    Columns k.. of H are zero above row i, so column steps on H start at
+    row i; on T they cover every row.  Both are kept as lists of columns
+    while the steps run.
+    """
     ring = a.ring
     m, n = a.m, a.n
     z = ring.zero
-    H = [list(row) for row in a.rows]
-    T = [[ring.one if i == j else z for j in range(n)] for i in range(n)]
+    size = ring.size
+    small_quotient = ring.small_quotient
+    H = [list(c) for c in zip(*a.rows)] if m else [[] for _ in range(n)]
+    T = [[ring.one if i == j else z for i in range(n)] for j in range(n)]
 
-    def col_swap(j0, j1):
-        for M in (H, T):
-            for row in M:
-                row[j0], row[j1] = row[j1], row[j0]
-
-    def col_combine(jk, jj, s, t, u, v):
-        # (col_k, col_j) <- (s*ck + t*cj, -v*ck + u*cj): determinant one.
-        for M in (H, T):
-            for row in M:
-                ck, cj = row[jk], row[jj]
-                row[jk] = s * ck + t * cj
-                row[jj] = u * cj - v * ck
-
-    def col_scale(j, c):
-        for M in (H, T):
-            for row in M:
-                row[j] = c * row[j]
-
-    def col_addmul(jdst, jsrc, c):
-        for M in (H, T):
-            for row in M:
-                row[jdst] = row[jdst] + c * row[jsrc]
+    def col_addmul(jdst, jsrc, c, i):
+        # col_jdst += c * col_jsrc, on H from row i down; zero entries
+        # (every payload is falsy exactly when zero) are skipped
+        hd, hs = H[jdst], H[jsrc]
+        for r in range(i, m):
+            y = hs[r]
+            if y:
+                hd[r] += c * y
+        td, ts = T[jdst], T[jsrc]
+        for r in range(n):
+            y = ts[r]
+            if y:
+                td[r] += c * y
 
     pivot_rows = []
     k = 0
     for i in range(m):
-        if k >= n:
+        if k == n:
             break
-        best = None
-        piv = None
-        for j in range(k, n):
-            x = H[i][j]
-            if x != z:
-                s = ring.size(x)
-                if best is None or s < best:
-                    best = s
-                    piv = j
-        if piv is None:
+        live = [j for j in range(k, n) if H[j][i] != z]
+        if not live:
             continue
-        if piv != k:
-            col_swap(k, piv)
-        for j in range(k + 1, n):
-            if H[i][j] != z:
-                g, s, t, u, v = ring.xgcd(H[i][k], H[i][j])
-                col_combine(k, j, s, t, u, v)
-        unit, assoc = ring.canonicalize(H[i][k])
+        while True:
+            p = min(live, key=lambda j: size(H[j][i]))
+            piv = H[p][i]
+            rest = []
+            for j in live:
+                if j != p:
+                    col_addmul(j, p, -small_quotient(H[j][i], piv), i)
+                    if H[j][i] != z:
+                        rest.append(j)
+            if not rest:
+                break
+            rest.append(p)
+            live = rest
+        if p != k:
+            H[k], H[p] = H[p], H[k]
+            T[k], T[p] = T[p], T[k]
+        unit, _ = ring.canonicalize(H[k][i])
         if unit != ring.one:
-            col_scale(k, ring.unit_inverse(unit))
-        piv_val = H[i][k]
+            c = ring.unit_inverse(unit)
+            hk = H[k]
+            for r in range(i, m):
+                hk[r] = c * hk[r]
+            T[k] = [c * x for x in T[k]]
+        piv = H[k][i]
         for j in range(k):
-            if H[i][j] != z:
-                q, _ = ring.pivot_reduce(H[i][j], piv_val)
+            x = H[j][i]
+            if x != z:
+                q, _ = ring.pivot_reduce(x, piv)
                 if q != z:
-                    col_addmul(j, k, -q)
+                    col_addmul(j, k, -q, i)
         pivot_rows.append(i)
         k += 1
 
     return HermiteResult(
-        H=Mat._raw(ring, m, n, tuple(tuple(r) for r in H)),
-        T=Mat._raw(ring, n, n, tuple(tuple(r) for r in T)),
+        H=Mat._raw(ring, m, n, tuple(zip(*H)) if n else ((),) * m),
+        T=Mat._raw(ring, n, n, tuple(zip(*T))),
         pivot_rows=tuple(pivot_rows),
     )
 
@@ -143,6 +162,11 @@ def smith(a: Mat) -> SmithResult:
     Starting from U = I, S = A, V = I, every row step on S applies its
     inverse as a column step on U, and every column step on S applies its
     inverse as a row step on V, so U @ S @ V == A holds throughout.
+
+    The result is checked before it is returned: S must equal diag(d)
+    padded with zeros, d being its r nonzero diagonal entries, and
+    U[:, :r] @ diag(d) @ V[:r, :] must equal A (together, U @ S @ V ==
+    A, for one m x r x n product); d must form a divisibility chain.
     """
     ring = a.ring
     m, n = a.m, a.n
@@ -288,9 +312,13 @@ def smith(a: Mat) -> SmithResult:
         S=Mat._raw(ring, m, n, tuple(tuple(r) for r in S)),
         V=Mat._raw(ring, n, n, tuple(tuple(r) for r in V)),
     )
-    if result.U @ result.S @ result.V != a:
-        raise InternalAssertion("Smith transform reconstruction failed")
     d = result.diagonal()
+    r = len(d)
+    if result.S != Mat.diagonal(ring, d, m, n):
+        raise InternalAssertion("Smith form is not diagonal")
+    ud = Mat._raw(ring, m, r, tuple(tuple(row[j] * d[j] for j in range(r)) for row in U))
+    if ud @ result.V.submatrix(0, r, 0, n) != a:
+        raise InternalAssertion("Smith transform reconstruction failed")
     for i in range(len(d) - 1):
         if not ring.divides(d[i], d[i + 1]):
             raise InternalAssertion("Smith diagonal violates the divisibility chain")

@@ -33,6 +33,14 @@ with ``a == unit * assoc``.
 
 Pivot size, used for pivot selection in elimination: absolute value for
 integers, degree for polynomials, a constant for the field.
+
+Division with remainder, two ways.  ``pivot_reduce(a, p)`` returns
+``(q, r)`` with the canonical remainder: 0 <= r < p over the integers
+(p a positive pivot), deg r < deg p for polynomials, r == 0 over the
+field.  ``small_quotient(a, p)`` returns only the q whose remainder
+a - q*p is smallest in size: balanced over the integers
+(|r| <= |p|/2, any nonzero p), the same q as ``pivot_reduce`` for
+polynomials, exact over the field.
 """
 
 from __future__ import annotations
@@ -357,6 +365,13 @@ class IntegerRing:
         q, r = divmod(a, p)
         return q, r
 
+    def small_quotient(self, a, p):
+        """q with |a - q*p| <= |p|/2 (p != 0): the balanced remainder."""
+        q, r = divmod(a, p)
+        if abs(2 * r) > abs(p):
+            q += 1
+        return q
+
     def xgcd(self, a, b):
         if a == 0 and b == 0:
             return 0, 0, 0, 0, 0
@@ -455,6 +470,10 @@ class RationalField:
     def pivot_reduce(self, a, p):
         return a / p, Fraction(0)
 
+    def small_quotient(self, a, p):
+        """q with a - q*p == 0 (p != 0)."""
+        return a / p
+
     def xgcd(self, a, b):
         zero, one = Fraction(0), Fraction(1)
         if a == 0 and b == 0:
@@ -530,6 +549,10 @@ class PolynomialRing:
     def pivot_reduce(self, a, p):
         """(q, r) with a == q*p + r and deg r < deg p (p monic)."""
         return a.divmod(p)
+
+    def small_quotient(self, a, p):
+        """q with deg(a - q*p) < deg p (p != 0)."""
+        return a.divmod(p)[0]
 
     def xgcd(self, a, b):
         zero = Poly()

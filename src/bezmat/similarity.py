@@ -58,11 +58,14 @@ from .matrix import Mat, inverse_over_ring
 from .normal_forms import col_module_equal, rank_factorization
 
 
-class SimilarityWitness(namedtuple("SimilarityWitness", "W Winv r1 X Y Xginv Yginv")):
+class SimilarityWitness(
+    namedtuple("SimilarityWitness", "W Winv r1 X Y Xginv Yginv Xproj Yproj")
+):
     """W with X == W @ Y @ Winv for the products X = A@B and Y = C@A of
     the triple it was built from (for a power witness, (A@B)^s and
-    (C@A)^s); r1 is the common rank of the cores of X and Y, and Xginv
-    and Yginv are the group inverses of X and Y."""
+    (C@A)^s); r1 is the common rank of the cores of X and Y, Xginv and
+    Yginv are the group inverses of X and Y, and Xproj and Yproj their
+    core projectors X @ Xginv and Y @ Yginv."""
 
     __slots__ = ()
 
@@ -162,7 +165,9 @@ def _witness_from(a: Mat, b: Mat, c: Mat, x: Mat, y: Mat, xg: Mat, yg: Mat) -> S
             "witness failed final verification",
             instance=_instance_dump(a, b, c, "final"),
         )
-    return SimilarityWitness(W=w, Winv=winv, r1=a.n - k1.r, X=x, Y=y, Xginv=xg, Yginv=yg)
+    return SimilarityWitness(
+        W=w, Winv=winv, r1=a.n - k1.r, X=x, Y=y, Xginv=xg, Yginv=yg, Xproj=p1, Yproj=p2
+    )
 
 
 def verify_witness(a: Mat, b: Mat, c: Mat, w: Mat, mode: str = "product") -> bool:
@@ -187,17 +192,17 @@ def verify_witness(a: Mat, b: Mat, c: Mat, w: Mat, mode: str = "product") -> boo
     return _conjugations(a @ b, c @ a, w, winv, (mode,))[mode]
 
 
-def _conjugations(x, y, w, winv, modes, xg=None, yg=None) -> dict:
+def _conjugations(x, y, w, winv, modes, xg=None, yg=None, proj=None) -> dict:
     """{mode: verify_witness(a, b, c, w, mode)} given X = A@B, Y = C@A
     and W^-1.
 
     Each group or Drazin inverse is computed at most once for all the
     modes, and none at all when the group inverses xg of X and yg of Y
     are given: they are then also X^D and Y^D, and the core X^2 @ X^#
-    is formed as X @ (X @ X^#) from the projector.
+    is formed as X @ (X @ X^#) from the projector.  proj is the pair of
+    core projectors (X @ X^#, Y @ Y^#) when the caller has formed them.
     """
     ver = {}
-    proj = None  # the core projectors X @ X^# and Y @ Y^#, once formed
     for mode in modes:
         if mode == "product":
             lhs, rhs = x, y
@@ -239,7 +244,8 @@ def _derived_conjugations(a: Mat, b: Mat, c: Mat, wit: SimilarityWitness) -> Non
     """Check that the witness built from the triple also conjugates the
     group inverses, core projectors and cores of its products."""
     ver = _conjugations(
-        wit.X, wit.Y, wit.W, wit.Winv, ("ginv", "projector", "core"), wit.Xginv, wit.Yginv
+        wit.X, wit.Y, wit.W, wit.Winv, ("ginv", "projector", "core"),
+        wit.Xginv, wit.Yginv, (wit.Xproj, wit.Yproj),
     )
     for mode, ok in ver.items():
         if not ok:

@@ -1,6 +1,10 @@
 """Column/row echelon forms, diagonal (invariant-factor) form, ranks,
 module comparisons, and kernels."""
 
+import random
+import time
+from fractions import Fraction
+
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
@@ -20,6 +24,9 @@ from bezmat.normal_forms import (
 )
 from bezmat.rings import QQ, QQX, ZZ, Poly
 from bezmat.generate import GenConfig, random_matrix, random_unimodular
+
+
+PX = Poly.x()
 
 
 def mat(rows):
@@ -64,15 +71,55 @@ def _check_column_echelon_structure(h, ring):
         pivots.append((top, j))
 
 
+def _check_column_hermite_contract(x, hr):
+    ring = x.ring
+    assert x @ hr.T == hr.H
+    assert ring.is_unit(det(hr.T))
+    _check_column_echelon_structure(hr.H, ring)
+    assert hr.pivot_rows == tuple(
+        next(i for i in range(x.m) if hr.H[i, j] != ring.zero)
+        for j in range(len(hr.pivot_rows))
+    )
+
+
 @settings(max_examples=70, deadline=None)
 @given(int_matrices())
+@example(Mat.zeros(ZZ, 0, 3))
+@example(Mat.zeros(ZZ, 3, 0))
+@example(Mat.from_rows(QQ, [[2, 3], [4, 6]]))
+@example(Mat.from_rows(QQ, [[0, Fraction(1, 2), 3], [5, 7, Fraction(-2, 3)]]))
+@example(Mat.zeros(QQ, 2, 0))
+# non-monic pivots, with rational coefficients
+@example(Mat.from_rows(QQX, [[2 * PX + 1, PX * PX], [3, PX]]))
+@example(Mat.from_rows(QQX, [[Poly([Fraction(1, 2), 0, 3]), Poly([2, -4])], [0, PX]]))
+@example(Mat.from_rows(QQX, [[0, 2 * PX], [PX + 1, 0], [PX, 1]]))
+# rank one: the remainder loop must leave one nonzero column
+@example(Mat.from_rows(QQX, [[PX, PX * PX], [PX * PX, PX * PX * PX]]))
+@example(Mat.zeros(QQX, 0, 2))
+@example(Mat.zeros(QQX, 2, 0))
 def test_column_hermite_contract(x):
     hr = column_hermite(x)
-    assert x @ hr.T == hr.H
-    assert ZZ.is_unit(det(hr.T))
-    _check_column_echelon_structure(hr.H, ZZ)
+    _check_column_hermite_contract(x, hr)
     # idempotence: the form of the form is itself
     assert column_hermite(hr.H).H == hr.H
+
+
+def _random_square(n, seed, bound=9):
+    rng = random.Random(seed)
+    return Mat.from_rows(ZZ, [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("n,seed", [(32, 32), (32, 32000), (48, 48)])
+def test_column_hermite_is_fast_on_large_random_integer_matrices(n, seed):
+    # Pairwise xgcd combines multiply whole columns by cofactors as large
+    # as the entries; on n = 32, seed 32000 that took about 29 s.  The
+    # remainder loop takes well under a second on each of these.
+    x = _random_square(n, seed)
+    start = time.perf_counter()
+    hr = column_hermite(x)
+    assert time.perf_counter() - start < 5.0
+    assert len(hr.pivot_rows) == n
+    _check_column_hermite_contract(x, hr)
 
 
 @settings(max_examples=40, deadline=None)

@@ -130,6 +130,37 @@ def test_size_measures():
     assert QQ.size(Fraction(5, 9)) == 0
 
 
+@settings(max_examples=150, deadline=None)
+@given(SMALL_INT, SMALL_INT.filter(bool))
+def test_int_small_quotient_leaves_the_balanced_remainder(a, p):
+    r = a - ZZ.small_quotient(a, p) * p
+    assert 2 * abs(r) <= abs(p)
+    # the canonical remainder of pivot_reduce stays in [0, p)
+    if p > 0:
+        q, r = ZZ.pivot_reduce(a, p)
+        assert q * p + r == a and 0 <= r < p
+
+
+def test_small_quotient_cases():
+    # a remainder of exactly |p|/2 may keep either sign
+    assert [ZZ.small_quotient(a, 4) for a in (5, 6, 7, -6, -7)] == [1, 1, 2, -2, -2]
+    assert [ZZ.small_quotient(a, -4) for a in (6, 7, -6)] == [-2, -2, 1]
+    assert QQ.small_quotient(Fraction(3, 4), Fraction(-1, 2)) == Fraction(-3, 2)
+    x = Poly.x()
+    assert QQX.small_quotient(x * x + 1, 2 * x) == Poly([0, Fraction(1, 2)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_strategy(4, 5), poly_strategy(4, 5))
+def test_poly_small_quotient_is_the_divmod_quotient(a, p):
+    if p.is_zero():
+        return
+    q = QQX.small_quotient(a, p)
+    assert q == a.divmod(p)[0]
+    r = a - q * p
+    assert r.is_zero() or r.degree < p.degree
+
+
 @settings(max_examples=100, deadline=None)
 @given(poly_strategy(4, 5), poly_strategy(4, 5))
 def test_poly_divmod_contract(a, b):
