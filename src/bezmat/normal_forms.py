@@ -67,69 +67,63 @@ def column_hermite(a: Mat) -> HermiteResult:
     than the candidate, so the loop ends with one nonzero entry; its
     column moves to k, is scaled to the canonical associate, and the
     entries to its left are reduced by ``ring.pivot_reduce``.  The
-    quotients stay as small as the entries, where an xgcd 2x2 block
+    quotients stay about as small as the entries; an xgcd 2x2 block
     would multiply whole columns by cofactors as large as the entries.
 
-    Columns k.. of H are zero above row i, so column steps on H start at
-    row i; on T they cover every row.  Both are kept as lists of columns
-    while the steps run.
+    The work is done on columns of H stacked on the columns of T, so a
+    column step is one loop.  Columns k.. of H are zero above row i, so
+    every step starts at row i.
     """
     ring = a.ring
     m, n = a.m, a.n
-    z = ring.zero
+    z, one = ring.zero, ring.one
     size = ring.size
     small_quotient = ring.small_quotient
-    H = [list(c) for c in zip(*a.rows)] if m else [[] for _ in range(n)]
-    T = [[ring.one if i == j else z for i in range(n)] for j in range(n)]
+    C = [list(c) for c in zip(*a.rows)] if m else [[] for _ in range(n)]
+    for j, col in enumerate(C):
+        col.extend(one if r == j else z for r in range(n))
+    height = m + n
 
     def col_addmul(jdst, jsrc, c, i):
-        # col_jdst += c * col_jsrc, on H from row i down; zero entries
-        # (every payload is falsy exactly when zero) are skipped
-        hd, hs = H[jdst], H[jsrc]
-        for r in range(i, m):
-            y = hs[r]
+        # col_jdst += c * col_jsrc from row i down; zero entries (every
+        # payload is falsy exactly when zero) are skipped
+        cd, cs = C[jdst], C[jsrc]
+        for r in range(i, height):
+            y = cs[r]
             if y:
-                hd[r] += c * y
-        td, ts = T[jdst], T[jsrc]
-        for r in range(n):
-            y = ts[r]
-            if y:
-                td[r] += c * y
+                cd[r] += c * y
 
     pivot_rows = []
     k = 0
     for i in range(m):
         if k == n:
             break
-        live = [j for j in range(k, n) if H[j][i] != z]
+        live = [j for j in range(k, n) if C[j][i] != z]
         if not live:
             continue
         while True:
-            p = min(live, key=lambda j: size(H[j][i]))
-            piv = H[p][i]
+            p = min(live, key=lambda j: size(C[j][i]))
+            piv = C[p][i]
             rest = []
             for j in live:
                 if j != p:
-                    col_addmul(j, p, -small_quotient(H[j][i], piv), i)
-                    if H[j][i] != z:
+                    col_addmul(j, p, -small_quotient(C[j][i], piv), i)
+                    if C[j][i] != z:
                         rest.append(j)
             if not rest:
                 break
             rest.append(p)
             live = rest
-        if p != k:
-            H[k], H[p] = H[p], H[k]
-            T[k], T[p] = T[p], T[k]
-        unit, _ = ring.canonicalize(H[k][i])
-        if unit != ring.one:
+        C[k], C[p] = C[p], C[k]
+        unit, _ = ring.canonicalize(C[k][i])
+        if unit != one:
             c = ring.unit_inverse(unit)
-            hk = H[k]
-            for r in range(i, m):
-                hk[r] = c * hk[r]
-            T[k] = [c * x for x in T[k]]
-        piv = H[k][i]
+            ck = C[k]
+            for r in range(i, height):
+                ck[r] = c * ck[r]
+        piv = C[k][i]
         for j in range(k):
-            x = H[j][i]
+            x = C[j][i]
             if x != z:
                 q, _ = ring.pivot_reduce(x, piv)
                 if q != z:
@@ -137,9 +131,10 @@ def column_hermite(a: Mat) -> HermiteResult:
         pivot_rows.append(i)
         k += 1
 
+    rows = tuple(zip(*C)) if n else ((),) * m
     return HermiteResult(
-        H=Mat._raw(ring, m, n, tuple(zip(*H)) if n else ((),) * m),
-        T=Mat._raw(ring, n, n, tuple(zip(*T))),
+        H=Mat._raw(ring, m, n, rows[:m]),
+        T=Mat._raw(ring, n, n, rows[m:]),
         pivot_rows=tuple(pivot_rows),
     )
 
