@@ -229,6 +229,8 @@ def smith(a: Mat) -> SmithResult:
         for row in U:
             row[i] = unit * row[i]
 
+    least = ring.size(ring.one)  # no nonzero element is smaller
+
     def find_pivot(t):
         best = None
         where = None
@@ -237,6 +239,8 @@ def smith(a: Mat) -> SmithResult:
                 x = S[i][j]
                 if x != z:
                     s = ring.size(x)
+                    if s == least:
+                        return i, j
                     if best is None or s < best:
                         best = s
                         where = (i, j)
@@ -284,17 +288,19 @@ def smith(a: Mat) -> SmithResult:
             # xgcd column work may have refilled the pivot column
             if not col_dirty or all(S[i][t] == z for i in range(t + 1, m)):
                 break
-        # pull in any entry the pivot does not divide, then re-clear
+        # pull in any entry the pivot does not divide, then re-clear (a
+        # unit pivot divides every entry)
         repaired = False
         piv = S[t][t]
-        for i in range(t + 1, m):
-            if repaired:
-                break
-            for j in range(t + 1, n):
-                if S[i][j] != z and not ring.divides(piv, S[i][j]):
-                    row_addmul(t, i, ring.one)
-                    repaired = True
+        if not ring.is_unit(piv):
+            for i in range(t + 1, m):
+                if repaired:
                     break
+                for j in range(t + 1, n):
+                    if S[i][j] != z and not ring.divides(piv, S[i][j]):
+                        row_addmul(t, i, ring.one)
+                        repaired = True
+                        break
         if repaired:
             continue  # redo clearing at the same t
         unit, _ = ring.canonicalize(piv)
