@@ -104,17 +104,13 @@ def test_column_hermite_contract(x):
     assert column_hermite(hr.H).H == hr.H
 
 
-def _random_square(n, seed, bound=9):
-    rng = random.Random(seed)
-    return Mat.from_rows(ZZ, [[rng.randint(-bound, bound) for _ in range(n)] for _ in range(n)])
-
-
 @pytest.mark.parametrize("n,seed", [(32, 32), (32, 32000), (48, 48)])
 def test_column_hermite_is_fast_on_large_random_integer_matrices(n, seed):
     # Pairwise xgcd combines multiply whole columns by cofactors as large
-    # as the entries; on n = 32, seed 32000 that took about 29 s.  The
-    # remainder loop takes well under a second on each of these.
-    x = _random_square(n, seed)
+    # as the entries; with them, n = 32 seed 32 took 19 s.  The remainder
+    # loop takes well under a second on each of these.
+    rng = random.Random(seed)
+    x = mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
     start = time.perf_counter()
     hr = column_hermite(x)
     assert time.perf_counter() - start < 5.0
