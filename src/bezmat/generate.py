@@ -20,8 +20,8 @@ Instance families:
         A = H1 @ diag(MA, 0) @ H2,   B = H2^-1 @ diag(MB, 0) @ H1^-1,
     so  A@B = H1 @ diag(MA@MB, 0) @ H1^-1  is group invertible, and
     C = B (classical regime) or C = B + N with A@N@A = 0, where N mixes
-    a right-kernel part (A@Nr = 0, columns from the Hermite kernel
-    basis) and a left-kernel part (Nl@A = 0).  Then
+    a right-kernel part (A@Nr = 0, columns from the kernel basis of
+    _kernel_basis below) and a left-kernel part (Nl@A = 0).  Then
     C@A = B@A + Nr@A lands in the form H2^-1 @ [[K,0],[S,0]] @ H2 with
     K = MB@MA unimodular, which is always group invertible — the
     group-invertibility rejection loop exists as a guard but never
@@ -52,7 +52,6 @@ from fractions import Fraction
 from .errors import GenerationExhausted, InternalAssertion, NotDrazinInvertible
 from .ginverse import drazin, is_group_invertible
 from .matrix import Mat, block_diag, inverse_over_ring
-from .normal_forms import left_kernel_basis, right_kernel_basis
 from .rings import Poly, get_ring
 
 _RETRY_BUDGET = 64
@@ -222,6 +221,46 @@ def gen_group_invertible(cfg: GenConfig) -> Mat:
     return h @ d @ hinv
 
 
+def _kernel_basis(a: Mat) -> Mat:
+    """Columns generating {x : a @ x == 0} (n x d), for the perturbations.
+
+    The basis is part of the instance definition, so it is fixed here
+    rather than taken from the library's Hermite transform, which any
+    change to the Hermite elimination may alter.  The columns of a
+    stacked on the identity are eliminated row by row: the nonzero
+    entry of least ring.size in the columns k.. not yet used (the first
+    one on a tie) is swapped to column k, then each later nonzero entry
+    b of the row is combined with its entry a through the xgcd block,
+    (col_k, col_j) <- (s*col_k + t*col_j, u*col_j - v*col_k) for
+    (g, s, t, u, v) = ring.xgcd(a, b), and k advances.  The identity
+    part of the columns k.. left at the end is the basis.
+    """
+    ring = a.ring
+    m, n = a.m, a.n
+    z = ring.zero
+    cols = [
+        [a.rows[i][j] for i in range(m)] + [ring.one if r == j else z for r in range(n)]
+        for j in range(n)
+    ]
+    k = 0
+    for i in range(m):
+        if k == n:
+            break
+        live = [j for j in range(k, n) if cols[j][i] != z]
+        if not live:
+            continue
+        p = min(live, key=lambda j: ring.size(cols[j][i]))
+        cols[k], cols[p] = cols[p], cols[k]
+        for j in range(k + 1, n):
+            if cols[j][i] != z:
+                _, s, t, u, v = ring.xgcd(cols[k][i], cols[j][i])
+                ck, cj = cols[k], cols[j]
+                cols[k] = [s * x + t * y for x, y in zip(ck, cj)]
+                cols[j] = [u * y - v * x for x, y in zip(ck, cj)]
+        k += 1
+    return Mat.from_columns(ring, [c[m:] for c in cols[k:]], nrows=n)
+
+
 def _perturbation(ring, rng, a: Mat, bound: int) -> Mat:
     """Random N with A @ N @ A == 0: a right-kernel part (A @ Nr = 0)
     plus a left-kernel part (Nl @ A = 0)."""
@@ -232,12 +271,12 @@ def _perturbation(ring, rng, a: Mat, bound: int) -> Mat:
         use_right = True
     total = Mat.zeros(ring, n, n)
     if use_right:
-        kb = right_kernel_basis(a)  # n x d
+        kb = _kernel_basis(a)  # n x d
         if kb.n:
             coeffs = _random_matrix(ring, rng, kb.n, n, bound)
             total = total + kb @ coeffs
     if use_left:
-        lb = left_kernel_basis(a)  # d x n
+        lb = _kernel_basis(a.transpose()).transpose()  # d x n
         if lb.m:
             coeffs = _random_matrix(ring, rng, n, lb.m, bound)
             total = total + coeffs @ lb

@@ -12,6 +12,7 @@ from bezmat.generate import (
     GenConfig,
     GeneratedTriple,
     SplitMix64,
+    _kernel_basis,
     gen_corollary_false,
     gen_corollary_true,
     gen_drazin_triple,
@@ -22,7 +23,7 @@ from bezmat.generate import (
 )
 from bezmat.ginverse import drazin, is_group_invertible
 from bezmat.matrix import Mat, det
-from bezmat.normal_forms import rank
+from bezmat.normal_forms import rank, right_kernel_basis
 from bezmat.rings import get_ring
 from bezmat.similarity import VARIANTS, corollary_check
 
@@ -111,6 +112,18 @@ def test_gen_flanders_triple_deterministic():
     t2 = gen_flanders_triple(cfg, False)
     assert (t1.A, t1.B, t1.C) == (t2.A, t2.B, t2.C)
     assert isinstance(t1, GeneratedTriple)
+
+
+def test_perturbation_kernel_basis_is_fixed():
+    # The kernel basis is part of the instance definition, so it must not
+    # follow the library's Hermite transform, which gives another basis
+    # of the same kernel here.
+    a = Mat.from_rows(get_ring("int"), [[4, -2, 1, 3], [-3, -4, 3, 0]])
+    kb = _kernel_basis(a)
+    assert kb.rows == ((2, -9), (15, -63), (22, -93), (0, 1))
+    assert right_kernel_basis(a) != kb
+    assert a @ kb == Mat.zeros(get_ring("int"), 2, 2)
+    assert _kernel_basis(Mat.zeros(get_ring("int"), 0, 2)) == Mat.identity(get_ring("int"), 2)
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
