@@ -50,10 +50,10 @@ from .similarity import (
     _MODES,
     VARIANTS,
     _cline,
+    _corollary_check,
     _derived_conjugations,
     _power_witness,
     conjugate_witnesses,
-    corollary_check,
     verify_witness,
 )
 
@@ -273,8 +273,8 @@ def _cmd_verify_cline(args) -> dict:
 
 def _cmd_check(args) -> dict:
     a, b, c = _load_triple(args)
-    report, wit = corollary_check(a, b, c, args.variant)
-    _derived_conjugations(a, b, c, wit)
+    report, wit, proj = _corollary_check(a, b, c, args.variant)
+    _derived_conjugations(a, b, c, wit, proj)
     doc = {
         "variant": args.variant,
         "hypotheses": {

@@ -58,14 +58,11 @@ from .matrix import Mat, inverse_over_ring
 from .normal_forms import col_module_equal, rank_factorization
 
 
-class SimilarityWitness(
-    namedtuple("SimilarityWitness", "W Winv r1 X Y Xginv Yginv Xproj Yproj")
-):
+class SimilarityWitness(namedtuple("SimilarityWitness", "W Winv r1 X Y Xginv Yginv")):
     """W with X == W @ Y @ Winv for the products X = A@B and Y = C@A of
     the triple it was built from (for a power witness, (A@B)^s and
-    (C@A)^s); r1 is the common rank of the cores of X and Y, Xginv and
-    Yginv are the group inverses of X and Y, and Xproj and Yproj their
-    core projectors X @ Xginv and Y @ Yginv."""
+    (C@A)^s); r1 is the common rank of the cores of X and Y, and Xginv
+    and Yginv are the group inverses of X and Y."""
 
     __slots__ = ()
 
@@ -133,6 +130,11 @@ def _instance_dump(a: Mat, b: Mat, c: Mat, stage: str):
 
 def similarity_witness(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
     """Construct and verify W with A@B == W @ (C@A) @ W^-1."""
+    return _similarity_witness(a, b, c)[0]
+
+
+def _similarity_witness(a: Mat, b: Mat, c: Mat):
+    """similarity_witness with the core projectors: (witness, (P, P'))."""
     x, y, _ = _shared_products(a, b, c)
     res_x, fail_x = _group_inverse_attempt(x)
     if fail_x is not None:
@@ -145,9 +147,10 @@ def similarity_witness(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
     return _witness_from(a, b, c, x, y, res_x.ginv, res_y.ginv)
 
 
-def _witness_from(a: Mat, b: Mat, c: Mat, x: Mat, y: Mat, xg: Mat, yg: Mat) -> SimilarityWitness:
+def _witness_from(a: Mat, b: Mat, c: Mat, x: Mat, y: Mat, xg: Mat, yg: Mat):
     """Steps 3-6 for a triple with A@B@A == A@C@A, given X = A@B and
-    Y = C@A and their group inverses xg and yg."""
+    Y = C@A and their group inverses xg and yg.  Returns the witness and
+    the core projectors (P, P') = (X @ xg, Y @ yg) it was built from."""
     ident = Mat.identity(a.ring, a.n)
     p1 = x @ xg
     p2 = y @ yg
@@ -165,9 +168,8 @@ def _witness_from(a: Mat, b: Mat, c: Mat, x: Mat, y: Mat, xg: Mat, yg: Mat) -> S
             "witness failed final verification",
             instance=_instance_dump(a, b, c, "final"),
         )
-    return SimilarityWitness(
-        W=w, Winv=winv, r1=a.n - k1.r, X=x, Y=y, Xginv=xg, Yginv=yg, Xproj=p1, Yproj=p2
-    )
+    wit = SimilarityWitness(W=w, Winv=winv, r1=a.n - k1.r, X=x, Y=y, Xginv=xg, Yginv=yg)
+    return wit, (p1, p2)
 
 
 def verify_witness(a: Mat, b: Mat, c: Mat, w: Mat, mode: str = "product") -> bool:
@@ -235,17 +237,17 @@ def conjugate_witnesses(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
     of the derived conjugations is a bug, not an input problem, and
     raises InternalAssertion.
     """
-    wit = similarity_witness(a, b, c)
-    _derived_conjugations(a, b, c, wit)
+    wit, proj = _similarity_witness(a, b, c)
+    _derived_conjugations(a, b, c, wit, proj)
     return wit
 
 
-def _derived_conjugations(a: Mat, b: Mat, c: Mat, wit: SimilarityWitness) -> None:
+def _derived_conjugations(a: Mat, b: Mat, c: Mat, wit: SimilarityWitness, proj) -> None:
     """Check that the witness built from the triple also conjugates the
-    group inverses, core projectors and cores of its products."""
+    group inverses, core projectors and cores of its products; proj is
+    the pair of core projectors the witness was built from."""
     ver = _conjugations(
-        wit.X, wit.Y, wit.W, wit.Winv, ("ginv", "projector", "core"),
-        wit.Xginv, wit.Yginv, (wit.Xproj, wit.Yproj),
+        wit.X, wit.Y, wit.W, wit.Winv, ("ginv", "projector", "core"), wit.Xginv, wit.Yginv, proj
     )
     for mode, ok in ver.items():
         if not ok:
@@ -308,7 +310,7 @@ def _power_witness(a: Mat, b: Mat, c: Mat, s: int, ab, dr_ab) -> SimilarityWitne
         # legitimately possible at s == k when index(C@A) == k + 1
         fail_cas.side = "CA^s"
         raise fail_cas
-    return _witness_from(a, b2, c2, xs, ys, res_abs.ginv, res_cas.ginv)
+    return _witness_from(a, b2, c2, xs, ys, res_abs.ginv, res_cas.ginv)[0]
 
 
 def cline_verify(a: Mat, b: Mat, c: Mat) -> bool:
@@ -373,6 +375,13 @@ def corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
     full report.  The cor24 variant checks its stated equalities but,
     like the others, certifies A@B similar to C@A.
     """
+    report, wit, _ = _corollary_check(a, b, c, variant)
+    return report, wit
+
+
+def _corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
+    """corollary_check with the witness's core projectors: (report,
+    witness, (P, P'))."""
     x, y, aba = _shared_products(a, b, c)
     conditions = _variant_conditions(a, b, c, x, y, aba, variant)
     res_x, _ = _group_inverse_attempt(x)
@@ -395,4 +404,4 @@ def corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
             "variant conditions hold but a product is not group invertible",
             instance=_instance_dump(a, b, c, f"variant-{variant}"),
         )
-    return report, _witness_from(a, b, c, x, y, res_x.ginv, res_y.ginv)
+    return (report, *_witness_from(a, b, c, x, y, res_x.ginv, res_y.ginv))

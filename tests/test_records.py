@@ -45,7 +45,7 @@ FIELDS = {
     "GroupInverseResult": ("ginv",),
     "DrazinResult": ("index", "dinv"),
     "CoreSplit": ("H", "Hinv", "M", "r"),
-    "SimilarityWitness": ("W", "Winv", "r1", "X", "Y", "Xginv", "Yginv", "Xproj", "Yproj"),
+    "SimilarityWitness": ("W", "Winv", "r1", "X", "Y", "Xginv", "Yginv"),
     "HypothesisReport": (
         "aba_equals_aca", "ab_group_invertible", "ca_group_invertible", "variant_conditions",
     ),
