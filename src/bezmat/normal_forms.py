@@ -151,6 +151,27 @@ def rank(a: Mat) -> int:
     return len(column_hermite(a).pivot_rows)
 
 
+def _least_entry(S, t, ring):
+    """(i, j) of the first nonzero S[i][j] with i, j >= t, row by row, of
+    least ring.size, or None.  The scan stops at an entry of the size of
+    one, since no nonzero element is smaller."""
+    z = ring.zero
+    size = ring.size
+    least = size(ring.one)
+    best = where = None
+    for i in range(t, len(S)):
+        row = S[i]
+        for j in range(t, len(row)):
+            x = row[j]
+            if x != z:
+                s = size(x)
+                if s == least:
+                    return i, j
+                if best is None or s < best:
+                    best, where = s, (i, j)
+    return where
+
+
 def smith(a: Mat) -> SmithResult:
     """Smith form A == U @ S @ V with the divisibility chain canonical.
 
@@ -229,27 +250,10 @@ def smith(a: Mat) -> SmithResult:
         for row in U:
             row[i] = unit * row[i]
 
-    least = ring.size(ring.one)  # no nonzero element is smaller
-
-    def find_pivot(t):
-        best = None
-        where = None
-        for i in range(t, m):
-            for j in range(t, n):
-                x = S[i][j]
-                if x != z:
-                    s = ring.size(x)
-                    if s == least:
-                        return i, j
-                    if best is None or s < best:
-                        best = s
-                        where = (i, j)
-        return where
-
     t = 0
     limit = min(m, n)
     while t < limit:
-        where = find_pivot(t)
+        where = _least_entry(S, t, ring)
         if where is None:
             break
         i0, j0 = where

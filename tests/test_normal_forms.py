@@ -8,6 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from bezmat import normal_forms
+from bezmat.errors import InternalAssertion
 from bezmat.matrix import Mat, det, inverse_over_ring
 from bezmat.normal_forms import (
     col_module_contains,
@@ -206,6 +208,70 @@ def test_smith_poly_cases():
     # rank-1 polynomial outer product
     c = Mat.from_rows(QQX, [[x, x * x], [x * x, x * x * x]])
     assert smith(c).diagonal() == (x,)
+
+
+def _full_scan(S, t, ring):
+    # the pivot search without the early stop at an entry of the size of one
+    best = where = None
+    for i in range(t, len(S)):
+        for j in range(t, len(S[i])):
+            if S[i][j] != ring.zero and (best is None or ring.size(S[i][j]) < best):
+                best, where = ring.size(S[i][j]), (i, j)
+    return where
+
+
+def _smith_inputs(ring_name, bound, sizes):
+    xs = []
+    for seed, (m, n) in enumerate(sizes):
+        cfg = GenConfig(ring=ring_name, n=n, seed=seed, entry_bound=bound)
+        xs.append(random_matrix(cfg, m=m, n=n))
+        r = max(1, min(m, n) - 1)  # a rank-deficient product
+        left = random_matrix(GenConfig(ring=ring_name, seed=1000 + seed, entry_bound=bound), m=m, n=r)
+        xs.append(left @ random_matrix(GenConfig(ring=ring_name, seed=2000 + seed, entry_bound=bound), m=r, n=n))
+    return xs
+
+
+@pytest.mark.parametrize(
+    "ring,bound,sizes",
+    [
+        (ZZ, 9, [(m, n) for m in range(1, 7) for n in range(1, 7)]),
+        (QQ, 5, [(m, n) for m in range(1, 5) for n in range(1, 5)]),
+        (QQX, 2, [(m, n) for m in range(1, 4) for n in range(1, 5)]),
+    ],
+)
+def test_smith_shortcuts_leave_u_s_v_unchanged(monkeypatch, ring, bound, sizes):
+    # Smith stops its pivot search at an entry of the size of one and
+    # skips the divisibility scan for a unit pivot; with both shortcuts
+    # off, U, S and V must come out exactly the same.
+    xs = _smith_inputs(ring.name, bound, sizes)
+    fast = [smith(x) for x in xs]
+    monkeypatch.setattr(normal_forms, "_least_entry", _full_scan)
+    monkeypatch.setattr(ring, "is_unit", lambda a: False)
+    for x, got in zip(xs, fast):
+        want = smith(x)
+        assert (got.U.rows, got.S.rows, got.V.rows) == (want.U.rows, want.S.rows, want.V.rows)
+
+
+def test_smith_checks_catch_a_wrong_elimination(monkeypatch):
+    # Each final check of smith fires on the output of an elimination
+    # broken through one ring primitive.
+    with monkeypatch.context() as mp:
+        # shears by a floor quotient leave a remainder off the diagonal
+        mp.setattr(ZZ, "divides", lambda b, a: True)
+        mp.setattr(ZZ, "exact_div", lambda a, b: a // b)
+        with pytest.raises(InternalAssertion, match="Smith form is not diagonal"):
+            smith(mat([[2, 3]]))
+    with monkeypatch.context() as mp:
+        # the sign of S's row stays while U's column is negated
+        mp.setattr(ZZ, "unit_inverse", lambda u: 1)
+        with pytest.raises(InternalAssertion, match="Smith transform reconstruction failed"):
+            smith(mat([[-2]]))
+    with monkeypatch.context() as mp:
+        # no pivot is repaired, so diag(2, 3) stays as it is
+        mp.setattr(ZZ, "is_unit", lambda a: True)
+        with pytest.raises(InternalAssertion, match="divisibility chain"):
+            smith(mat([[2, 0], [0, 3]]))
+    assert smith(mat([[2, 0], [0, 3]])).diagonal() == (1, 6)
 
 
 def test_rat_field_forms_are_trivial():
