@@ -69,6 +69,10 @@ def column_hermite(a: Mat) -> HermiteResult:
     entries to its left are reduced by ``ring.pivot_reduce``.  The
     quotients stay about as small as the entries; an xgcd 2x2 block
     would multiply whole columns by cofactors as large as the entries.
+    Over the polynomials each column step is followed by
+    ``ring.primitive``, a scaling by a unit: without it the rational
+    coefficients of the quotients pile up in the columns still to be
+    cleared.
 
     The work is done on columns of H stacked on the columns of T, so a
     column step is one loop.  Columns k.. of H are zero above row i, so
@@ -79,6 +83,7 @@ def column_hermite(a: Mat) -> HermiteResult:
     z, one = ring.zero, ring.one
     size = ring.size
     small_quotient = ring.small_quotient
+    primitive = ring.primitive
     C = [list(c) for c in zip(*a.rows)] if m else [[] for _ in range(n)]
     for j, col in enumerate(C):
         col.extend(one if r == j else z for r in range(n))
@@ -108,6 +113,8 @@ def column_hermite(a: Mat) -> HermiteResult:
             for j in live:
                 if j != p:
                     col_addmul(j, p, -small_quotient(C[j][i], piv), i)
+                    if primitive is not None:
+                        C[j][i:] = primitive(C[j][i:])
                     if C[j][i] != z:
                         rest.append(j)
             if not rest:

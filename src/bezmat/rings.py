@@ -41,6 +41,15 @@ field.  ``small_quotient(a, p)`` returns only the q whose remainder
 a - q*p is smallest in size: balanced over the integers
 (|r| <= |p|/2, any nonzero p), the same q as ``pivot_reduce`` for
 polynomials, exact over the field.
+
+Shrinking by a unit.  ``primitive(entries)`` returns the entries times
+the nonzero constant that leaves them with integer coefficients of gcd
+one; it exists for the polynomials only (``None`` on the other rings).
+A column of polynomials scaled so stays a column of a unimodular
+transform, and its coefficients stay integers of least size.  The
+integers have no unit that shrinks an entry, and over the field the
+Hermite elimination clears each row in one pass, where this scaling
+only costs time.
 """
 
 from __future__ import annotations
@@ -323,6 +332,7 @@ class IntegerRing:
     name = "int"
     zero = 0
     one = 1
+    primitive = None
 
     def coerce(self, x):
         if isinstance(x, bool) or not isinstance(x, int):
@@ -430,6 +440,7 @@ class RationalField:
     name = "rat"
     zero = Fraction(0)
     one = Fraction(1)
+    primitive = None
 
     def coerce(self, x):
         if isinstance(x, bool):
@@ -553,6 +564,18 @@ class PolynomialRing:
     def small_quotient(self, a, p):
         """q with deg(a - q*p) < deg p (p != 0)."""
         return a.divmod(p)[0]
+
+    def primitive(self, entries):
+        """c * entries for the constant c != 0 that leaves integer
+        coefficients of gcd one (entries, if all zero)."""
+        live = [e for e in entries if e.num]
+        if not live:
+            return entries
+        den = lcm(*(e.den for e in live))
+        g = gcd(*(c * (den // e.den) for e in live for c in e.num))
+        if den == 1 and g == 1:
+            return entries
+        return [_raw(tuple(c * (den // e.den) // g for c in e.num), 1) if e.num else e for e in entries]
 
     def xgcd(self, a, b):
         zero = Poly()

@@ -161,6 +161,15 @@ def test_poly_small_quotient_is_the_divmod_quotient(a, p):
     assert r.is_zero() or r.degree < p.degree
 
 
+def test_poly_primitive_scales_by_one_constant():
+    entries = [Poly([Fraction(1, 2), Fraction(3, 4)]), QQX.zero, Poly([0, 0, Fraction(-3, 2)])]
+    assert QQX.primitive(entries) == [Poly([2, 3]), QQX.zero, Poly([0, 0, -6])]
+    assert QQX.primitive([Poly([-2, -4]), Poly([6])]) == [Poly([-1, -2]), Poly([3])]
+    assert QQX.primitive([Poly([2, 3])]) == [Poly([2, 3])]
+    assert QQX.primitive([QQX.zero, QQX.zero]) == [QQX.zero, QQX.zero]
+    assert ZZ.primitive is None and QQ.primitive is None
+
+
 @settings(max_examples=100, deadline=None)
 @given(poly_strategy(4, 5), poly_strategy(4, 5))
 def test_poly_divmod_contract(a, b):
