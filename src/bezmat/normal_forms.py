@@ -20,7 +20,8 @@ dividing the next.
 
 Every elimination step is unimodular, so every accumulated transform
 has unit determinant by construction.  The Hermite form uses column
-swaps, scaling by a unit, and shears by remainder quotients
+swaps, scaling by a unit (over the polynomials also to a primitive
+column, ``ring.primitive``), and shears by remainder quotients
 (``ring.small_quotient``, then ``ring.pivot_reduce`` left of a pivot);
 it calls no xgcd.  The Smith form also uses the 2x2 unimodular block
 given by the ring's xgcd.
