@@ -8,8 +8,8 @@ deliberately reports failure.  Production code paths only ever call
 ``active`` — with no switches set, behaviour is unchanged.
 
 Known switch names:
-  witness  — similarity_witness treats the core-block inversion check
-             as failed, raising InternalAssertion with the instance.
+  witness  — the similarity pipeline treats its ``final`` check of W as
+             failed, raising InternalAssertion with the instance.
   oracle   — the fraction-field oracle misreports integrality, so the
              self-test's agreement suite records a disagreement.
 """

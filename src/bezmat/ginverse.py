@@ -25,6 +25,12 @@ and for k >= 2 by minimality, X^k @ D != X^(k-1); at index 0 the
 inversion checks itself.  A singular n x n matrix has index at most n.
 Conventions: the zero matrix has index 1 and inverse 0; a 0 x 0 matrix
 is invertible with index 0.
+
+The core split reuses rank factorizations: E = X @ X^# == L1 @ Rt1,
+checked, and I - E == L2 @ Rt2 give H = [L1 | L2], H^-1 = [Rt1 ; Rt2].
+The one check H @ H^-1 == I makes H^-1 @ H == I, so Rt_i @ L_j is I or
+0 and H^-1 @ E @ H == diag(I, 0).  The core is M = Rt1 @ X @ L1, and
+L1 @ M @ Rt1 == X is X == H @ diag(M, 0) @ H^-1.
 """
 
 from __future__ import annotations
@@ -39,8 +45,8 @@ from .errors import (
     NotInvertibleOverRing,
     NotSquare,
 )
-from .matrix import Mat, block_diag, det, inverse_over_ring, split_blocks
-from .normal_forms import column_module_basis, rank_factorization
+from .matrix import Mat, _inverse_over_ring, det, hstack, inverse_over_ring, vstack
+from .normal_forms import _rank_factorization, rank_factorization
 
 GroupInverseResult = namedtuple("GroupInverseResult", "ginv")
 DrazinResult = namedtuple("DrazinResult", "index dinv")
@@ -66,9 +72,9 @@ def _index_search(x: Mat, last: int):
     for k in range(1, last + 1):
         if k > 1:
             prev, power = power, power @ x
-        rf = rank_factorization(power)
+        rf = _rank_factorization(power)
         try:
-            core_inv = inverse_over_ring(rf.Rt @ rf.L)
+            core_inv = _inverse_over_ring(rf.Rt @ rf.L)
         except NotInvertibleOverRing as exc:
             if exc.det == ring.zero:
                 continue
@@ -135,45 +141,29 @@ def idempotent_split(e: Mat) -> Mat:
 
 
 def _split_idempotent(e: Mat):
-    """(H, H^-1, r) for idempotent_split, r being the rank of E."""
+    """(H, H^-1, E's rank factorization) for idempotent_split."""
     if not e.is_square():
         raise NotSquare(f"idempotent_split of a {e.m}x{e.n} matrix")
-    ring = e.ring
     if e @ e != e:
         raise NotIdempotent("E @ E != E")
-    n = e.n
-    cols_im = column_module_basis(e)
-    cols_ker = column_module_basis(Mat.identity(ring, n) - e)
-    r = len(cols_im)
-    if r + len(cols_ker) != n:
-        raise InternalAssertion(
-            "image and co-image of an idempotent do not fill the space"
-        )
-    h = Mat.from_columns(ring, list(cols_im) + list(cols_ker), nrows=n)
-    try:
-        hinv = inverse_over_ring(h)
-    except NotInvertibleOverRing as exc:
-        raise InternalAssertion(
-            "idempotent basis assembly is not unimodular"
-        ) from exc
-    j = Mat.diagonal(ring, [ring.one] * r, m=n, n=n)
-    if hinv @ e @ h != j:
-        raise InternalAssertion("idempotent did not diagonalize to diag(I, 0)")
-    return h, hinv, r
+    ident = Mat.identity(e.ring, e.n)
+    im = rank_factorization(e)
+    co = _rank_factorization(ident - e)
+    h = hstack(im.L, co.L)
+    hinv = vstack(im.Rt, co.Rt)
+    if im.r + co.r != e.n or h @ hinv != ident:
+        raise InternalAssertion("image and co-image of an idempotent do not split the space")
+    return h, hinv, im
 
 
 def _core_split_with(x: Mat, ginv: Mat) -> CoreSplit:
-    ring = x.ring
-    h, hinv, r = _split_idempotent(x @ ginv)
-    c = hinv @ x @ h
-    c11, c12, c21, c22 = split_blocks(c, r)
-    if not (c12.is_zero() and c21.is_zero() and c22.is_zero()):
-        raise InternalAssertion("core split has nonzero off-core blocks")
-    if not ring.is_unit(det(c11)):
+    h, hinv, im = _split_idempotent(x @ ginv)
+    m = im.Rt @ x @ im.L
+    if not x.ring.is_unit(det(m)):
         raise InternalAssertion("core block is not invertible over the ring")
-    if h @ block_diag(c11, Mat.zeros(ring, x.n - r, x.n - r)) @ hinv != x:
+    if im.L @ m @ im.Rt != x:
         raise InternalAssertion("core split reconstruction failed")
-    return CoreSplit(H=h, Hinv=hinv, M=c11, r=r)
+    return CoreSplit(H=h, Hinv=hinv, M=m, r=im.r)
 
 
 def core_split(x: Mat) -> CoreSplit:

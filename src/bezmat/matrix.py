@@ -357,6 +357,15 @@ def inverse_over_ring(a: Mat) -> Mat:
     is the inverse times that pivot.  The product is re-verified before
     returning.
     """
+    inv = _inverse_over_ring(a)
+    ident = Mat.identity(a.ring, a.n)
+    if a @ inv != ident or inv @ a != ident:
+        raise InternalAssertion("inverse candidate failed verification")
+    return inv
+
+
+def _inverse_over_ring(a: Mat) -> Mat:
+    """inverse_over_ring unchecked, for callers that a later check covers."""
     if not a.is_square():
         raise NotSquare(f"inverse of a {a.m}x{a.n} matrix")
     ring = a.ring
@@ -374,11 +383,7 @@ def inverse_over_ring(a: Mat) -> Mat:
     if n == 0:
         return a
     scale = ring.unit_inverse(work[n - 1][n - 1])
-    inv = Mat._raw(ring, n, n, tuple(tuple(scale * x for x in row[n:]) for row in work))
-    ident = Mat.identity(ring, n)
-    if a @ inv != ident or inv @ a != ident:
-        raise InternalAssertion("inverse candidate failed verification")
-    return inv
+    return Mat._raw(ring, n, n, tuple(tuple(scale * x for x in row[n:]) for row in work))
 
 
 def solve_in_column_module(a: Mat, b: Mat) -> Mat:

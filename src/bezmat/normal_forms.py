@@ -381,13 +381,17 @@ def rank_factorization(a: Mat) -> RankFactorization:
     L is the nonzero columns of the column Hermite form A @ T == H, and
     Rt solves L @ Rt == A, which makes it the top r rows of T^-1.
     """
+    rf = _rank_factorization(a)
+    if rf.L @ rf.Rt != a:
+        raise InternalAssertion("rank factorization reconstruction failed")
+    return rf
+
+
+def _rank_factorization(a: Mat) -> RankFactorization:
+    """rank_factorization unchecked, for callers that a later check covers."""
     hr = column_hermite(a)
     r = len(hr.pivot_rows)
-    L = hr.H.submatrix(0, a.m, 0, r)
-    Rt = _echelon_solve(hr, a)
-    if L @ Rt != a:
-        raise InternalAssertion("rank factorization reconstruction failed")
-    return RankFactorization(L=L, Rt=Rt, r=r)
+    return RankFactorization(L=hr.H.submatrix(0, a.m, 0, r), Rt=_echelon_solve(hr, a), r=r)
 
 
 def _nonzero_columns(a: Mat):

@@ -55,7 +55,7 @@ from .errors import (
 )
 from .ginverse import _group_inverse_attempt, drazin, group_inverse
 from .matrix import Mat, inverse_over_ring
-from .normal_forms import col_module_equal, rank_factorization
+from .normal_forms import _rank_factorization, col_module_equal
 
 
 class SimilarityWitness(namedtuple("SimilarityWitness", "W Winv r1 X Y Xginv Yginv")):
@@ -154,8 +154,8 @@ def _witness_from(a: Mat, b: Mat, c: Mat, x: Mat, y: Mat, xg: Mat, yg: Mat):
     ident = Mat.identity(a.ring, a.n)
     p1 = x @ xg
     p2 = y @ yg
-    k1 = rank_factorization(ident - p1)
-    k2 = rank_factorization(ident - p2)
+    k1 = _rank_factorization(ident - p1)
+    k2 = _rank_factorization(ident - p2)
     if k1.r != k2.r:
         raise InternalAssertion(
             "similar products reported different core ranks",

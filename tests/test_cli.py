@@ -15,6 +15,7 @@ import sys
 import pytest
 
 from bezmat.cli import main, run_argv
+from bezmat.errors import NotDrazinInvertible, NotGroupInvertible
 from bezmat.generate import GenConfig, gen_drazin_triple, gen_flanders_triple
 from bezmat.io import dumps_doc, matrix_from_doc, matrix_to_doc
 from bezmat.matrix import Mat
@@ -182,11 +183,11 @@ def test_witness_derives_each_inverse_once(write_doc, count_calls):
     assert counts["column_hermite"] <= 4
     assert counts["smith"] == 0
     assert counts["drazin"] == 0
-    assert counts["__matmul__"] <= 46
+    assert counts["__matmul__"] <= 38
     counts.clear()
     code, doc = run_json(["check", *files, "--variant", "cor22"])
     assert code == 0 and all(doc["witness"]["verified"].values())
-    assert counts["__matmul__"] <= 46
+    assert counts["__matmul__"] <= 38
 
 
 @pytest.mark.parametrize("verb,drazin_calls", [("verify-cline", 2), ("witness-power", 1)])
@@ -205,7 +206,7 @@ def test_drazin_verbs_derive_each_inverse_once(write_doc, count_calls, verb, dra
         assert doc["s"] == 2 and doc["verified"] == {"power_product": True}
         # A@B, A@B' and C'@A are formed once, and the power identity is
         # evaluated once, by the library
-        assert counts["__matmul__"] <= 62
+        assert counts["__matmul__"] <= 50
     assert counts["drazin"] == drazin_calls
 
 
@@ -394,6 +395,18 @@ def test_exit_5_injected_fault_dumps_instance(write_doc):
     assert code == 0
 
 
+def run_swap_exit_5(write_doc, argv):
+    """Run a verb on the swap triple (A, B, B) and return the dump of the
+    internal assertion it must stop with."""
+    a = write_doc("a.json", SWAP_A)
+    b = write_doc("b.json", SWAP_B)
+    code, doc = run_json([argv[0], a, b, b, *argv[1:]])
+    assert code == 5
+    assert doc["error"] == "InternalAssertion"
+    assert {"A", "B", "C"} <= set(doc["instance"])
+    return doc["instance"]
+
+
 @pytest.mark.parametrize("extra", [[], ["--variant", "cor22"]], ids=["witness", "check"])
 def test_exit_5_derived_conjugation_failure_dumps_instance(write_doc, monkeypatch, extra):
     # the library verifies the derived conjugations of the witness it
@@ -410,13 +423,49 @@ def test_exit_5_derived_conjugation_failure_dumps_instance(write_doc, monkeypatc
         return ver
 
     monkeypatch.setattr(similarity, "_conjugations", ginv_fails)
-    a = write_doc("a.json", SWAP_A)
-    b = write_doc("b.json", SWAP_B)
-    code, doc = run_json(["check" if extra else "witness", a, b, b, *extra])
-    assert code == 5
-    assert doc["error"] == "InternalAssertion"
-    assert doc["instance"]["stage"] == "conjugate-ginv"
-    assert {"A", "B", "C"} <= set(doc["instance"])
+    instance = run_swap_exit_5(write_doc, ["check" if extra else "witness", *extra])
+    assert instance["stage"] == "conjugate-ginv"
+
+
+def test_exit_5_cline_losing_drazin_invertibility_dumps_instance(write_doc, monkeypatch):
+    # (C@A)^D exists whenever (A@B)^D does; a failure of the second
+    # Drazin inverse is the library's own fault
+    from bezmat import similarity
+
+    real = similarity.drazin
+    calls = []
+
+    def second_fails(x):
+        calls.append(x)
+        if len(calls) == 2:
+            raise NotDrazinInvertible("injected")
+        return real(x)
+
+    monkeypatch.setattr(similarity, "drazin", second_fails)
+    assert run_swap_exit_5(write_doc, ["verify-cline"])["stage"] == "cline"
+
+
+def test_exit_5_variant_without_group_inverse_dumps_instance(write_doc, monkeypatch):
+    # cor22 holds on the swap triple, so both products must be group
+    # invertible; a product reported otherwise contradicts the theory
+    from bezmat import similarity
+
+    monkeypatch.setattr(
+        similarity, "_group_inverse_attempt", lambda x: (None, NotGroupInvertible("injected"))
+    )
+    instance = run_swap_exit_5(write_doc, ["check", "--variant", "cor22"])
+    assert instance["stage"] == "variant-cor22"
+
+
+def test_exit_5_power_not_group_invertible_dumps_instance(write_doc, monkeypatch):
+    # (A@B)^s is group invertible for every s >= index(A@B)
+    from bezmat import similarity
+
+    monkeypatch.setattr(
+        similarity, "_group_inverse_attempt", lambda x: (None, NotGroupInvertible("injected"))
+    )
+    instance = run_swap_exit_5(write_doc, ["witness-power", "--s", "2"])
+    assert instance["stage"] == "power-ab s=2"
 
 
 def test_main_returns_code_without_exiting(write_doc):

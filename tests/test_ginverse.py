@@ -5,6 +5,7 @@ external computer-algebra system) and frozen here; the suite then
 re-checks the defining equations on every value the library returns.
 """
 
+import importlib
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bezmat.errors import (
+    InternalAssertion,
     NotDrazinInvertible,
     NotGroupInvertible,
     NotIdempotent,
@@ -32,7 +34,7 @@ from bezmat.ginverse import (
     is_group_invertible,
 )
 from bezmat.matrix import Mat, block_diag, det, inverse_over_ring
-from bezmat.normal_forms import col_module_equal
+from bezmat.normal_forms import col_module_equal, column_module_basis
 from bezmat.rings import QQ, QQX, ZZ, Poly
 
 
@@ -371,6 +373,36 @@ def test_idempotent_split_rejects_non_idempotent():
         idempotent_split(Mat.zeros(ZZ, 1, 2))
 
 
+@pytest.mark.parametrize(
+    "module,message",
+    [("normal_forms", "rank factorization reconstruction failed"), ("ginverse", "do not split the space")],
+    ids=["E", "I-E"],
+)
+def test_idempotent_split_checks_its_factors(monkeypatch, module, message):
+    # E's factors go through the checked rank_factorization, since
+    # H^-1 @ E @ H == diag(I, 0) rests on them; wrong factors of I - E
+    # must fail the one check H @ H^-1 == I
+    mod = importlib.import_module(f"bezmat.{module}")
+    real = mod._rank_factorization
+
+    def doubled(a):
+        rf = real(a)
+        return rf._replace(Rt=rf.Rt.scale(2))
+
+    monkeypatch.setattr(mod, "_rank_factorization", doubled)
+    with pytest.raises(InternalAssertion, match=message):
+        idempotent_split(mat([[1, 1], [0, 0]]))
+
+
+def test_core_split_checks_its_reconstruction():
+    # E = X @ G is idempotent but G is not X^#: the split of E exists,
+    # and only L1 @ M @ Rt1 == X can tell
+    from bezmat.ginverse import _core_split_with
+
+    with pytest.raises(InternalAssertion, match="reconstruction failed"):
+        _core_split_with(mat([[1, 0], [0, 0]]), mat([[1, 1], [0, 0]]))
+
+
 def test_core_split_frozen():
     x = mat([[3, -1, 1], [1, 0, 0], [0, 0, 0]])
     cs = core_split(x)
@@ -380,6 +412,27 @@ def test_core_split_frozen():
     hinv = inverse_over_ring(cs.H)
     rebuilt = cs.H @ block_diag(cs.M, Mat.zeros(ZZ, 1, 1)) @ hinv
     assert rebuilt == x
+
+
+@pytest.mark.parametrize("ring_name,n,entry_bound", [("int", 5, 9), ("rat", 4, 9), ("polyrat", 3, 2)])
+@pytest.mark.parametrize("rank", ["zero", "half", "n-1", "full"])
+def test_core_split_matches_module_basis_route(ring_name, n, entry_bound, rank):
+    # the split is built from rank factorizations; its H must still be
+    # the canonical module bases of im E and im (I - E), side by side
+    r = {"zero": 0, "half": n // 2, "n-1": n - 1, "full": n}[rank]
+    cfg = GenConfig(ring=ring_name, n=n, seed=31 * n + r, entry_bound=entry_bound, core_rank=r)
+    x = gen_group_invertible(cfg)
+    ring = x.ring
+    e = x @ group_inverse(x).ginv
+    ident = Mat.identity(ring, n)
+    cs = core_split(x)
+    assert cs.r == r
+    cols = list(column_module_basis(e)) + list(column_module_basis(ident - e))
+    assert cs.H == Mat.from_columns(ring, cols, nrows=n)
+    assert idempotent_split(e) == cs.H
+    assert cs.H @ cs.Hinv == ident
+    assert cs.Hinv @ e @ cs.H == Mat.diagonal(ring, [ring.one] * r, m=n, n=n)
+    assert cs.H @ block_diag(cs.M, Mat.zeros(ring, n - r, n - r)) @ cs.Hinv == x
 
 
 def test_core_split_requires_group_invertibility():

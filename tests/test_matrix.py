@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 from bezmat.errors import (
     DimensionMismatch,
     FormatError,
+    InternalAssertion,
     NoSolution,
     NotInvertibleOverRing,
     NotSquare,
@@ -271,6 +272,17 @@ def test_inverse_over_polyrat_unit_det():
     assert a @ ai == Mat.identity(QQX, 2)
     with pytest.raises(NotInvertibleOverRing):
         inverse_over_ring(Mat.from_rows(QQX, [[x, 0], [0, 1]]))
+
+
+def test_inverse_over_ring_checks_what_it_returns(monkeypatch):
+    # internal callers take the unchecked body; the public function
+    # still verifies the inverse it returns
+    from bezmat import matrix
+
+    real = matrix._inverse_over_ring
+    monkeypatch.setattr(matrix, "_inverse_over_ring", lambda a: real(a).scale(-1))
+    with pytest.raises(InternalAssertion, match="inverse candidate failed verification"):
+        inverse_over_ring(mat([[2, 1], [1, 1]]))
 
 
 def test_solve_in_column_module():

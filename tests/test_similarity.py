@@ -336,7 +336,7 @@ def test_unequal_core_ranks_raise_internal_assertion(monkeypatch):
     # do, the construction stops with a dump instead of building W
     from bezmat import similarity
 
-    real = similarity.rank_factorization
+    real = similarity._rank_factorization
     calls = []
 
     def second_rank_off(m):
@@ -344,7 +344,7 @@ def test_unequal_core_ranks_raise_internal_assertion(monkeypatch):
         rf = real(m)
         return rf._replace(r=rf.r + 1) if len(calls) == 2 else rf
 
-    monkeypatch.setattr(similarity, "rank_factorization", second_rank_off)
+    monkeypatch.setattr(similarity, "_rank_factorization", second_rank_off)
     with pytest.raises(InternalAssertion) as exc_info:
         similarity_witness(*swap_triple())
     assert exc_info.value.instance["stage"] == "core-rank"
