@@ -34,36 +34,49 @@ check covers both results: with delta the denominator,
 
     X N == N X,   N X N == delta N,   X^(k+1) N == delta X^k,
 
-and a failure raises InternalAssertion.  The oracle uses Mat, @ and the
-ring's own methods only: it shares no elimination code with the ring
-path (normal_forms, det, inverse_over_ring), so a bug there cannot
-agree with itself here.
+and a failure raises InternalAssertion.  The oracle keeps its own
+elimination loop: it shares no elimination code with the ring path
+(normal_forms, det, inverse_over_ring), so a bug there cannot agree
+with itself here.  It does share the ring's integer image (see
+``rings``) and ``@``, which run on that image; ``tests/test_images.py``
+guards both against a schoolbook reference on Fraction coefficients.
+Integrality is decided on ring elements (``_lower``), never on images:
+an image can divide where the ring element does not.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
+from math import prod
 
 from . import faults
 from .errors import InternalAssertion, NotDivisible, NotSquare
-from .matrix import Mat
+from .matrix import Mat, elimination_width, two_adic_quotient
 
 
 def _rref_den(ring, rows, width):
     """Fraction-free Gauss-Jordan elimination with column skipping.
 
-    Pivots are taken left to right in the first ``width`` columns, each
-    the first nonzero entry at or below the current row; row operations
-    act on every column.  Returns (rows, pivot_cols, pivot_rows, d):
-    the reduced echelon form of the input is rows / d, d being the last
-    pivot (one when there is none), and pivot_rows[i] is the input index
-    of the row that became pivot row i.  Each entry is a minor of the
-    input, so every division by the previous pivot is exact.
+    Runs on the ring's integer image of ``rows``.  Pivots are taken left
+    to right in the first ``width`` columns, each the first nonzero entry
+    at or below the current row; row operations act on every column.
+    Returns (rest, pivot_cols, pivot_rows, d): the reduced echelon form
+    of the input is the eliminated rows over d, d being the last pivot
+    (one when there is none), rest holds their columns from ``width``
+    on, and pivot_rows[i] is the input index of the row that became
+    pivot row i.  Each entry is a minor of the input, so every division
+    by the previous pivot is exact, and a remainder raises NotDivisible.
+    With r pivots the pivot rows and d hold minors on the r input rows
+    that became pivot rows, and each other row a minor on those and its
+    own input row; the image scales input row i by its denominator D_i,
+    and so each minor by the D_i of its rows, which rest and d are read
+    back over: they are the ring elements that eliminating the input
+    itself gives.
     """
+    (rows,), (dens,), w = ring.image((rows,), elimination_width)
     rows = [list(r) for r in rows]
     order = list(range(len(rows)))
-    one = ring.one
-    d = one
+    d = 1
     cols = []
     for j in range(width):
         i = len(cols)
@@ -76,6 +89,7 @@ def _rref_den(ring, rows, width):
         order[i], order[p] = order[p], order[i]
         pr = rows[i]
         piv = pr[j]
+        long = two_adic_quotient(d)
         for t, r in enumerate(rows):
             if t == i:
                 continue
@@ -83,10 +97,23 @@ def _rref_den(ring, rows, width):
             for c, e in enumerate(r):
                 if e or (f and pr[c]):
                     e = piv * e - f * pr[c]
-                    r[c] = e if d == one else ring.exact_div(e, d)
+                    if long:
+                        r[c] = long(e)
+                        continue
+                    e, rem = divmod(e, d)
+                    if rem:
+                        raise NotDivisible("an oracle division left a remainder")
+                    r[c] = e
         cols.append(j)
         d = piv
-    return rows, cols, order[: len(cols)], d
+    read = ring.from_image
+    r = len(cols)
+    scale = prod(dens[t] for t in order[:r])
+    rest = [
+        [read(e, scale if t < r else scale * dens[order[t]], w) for e in row[width:]]
+        for t, row in enumerate(rows)
+    ]
+    return rest, cols, order[:r], read(d, scale, w)
 
 
 def _take(x: Mat, rows, cols) -> Mat:
@@ -101,8 +128,8 @@ def _inverse_num(x: Mat):
     ring, n = x.ring, x.n
     z, o = ring.zero, ring.one
     aug = [list(row) + [o if i == j else z for j in range(n)] for i, row in enumerate(x.rows)]
-    rows, cols, prows, d = _rref_den(ring, aug, n)
-    num = Mat._raw(ring, n, n, tuple(tuple(r[n:]) for r in rows))
+    rest, cols, prows, d = _rref_den(ring, aug, n)
+    num = Mat._raw(ring, n, n, tuple(map(tuple, rest)))
     return len(cols), cols, prows, num, d
 
 

@@ -6,16 +6,25 @@ values").  Entries are ring payloads (int / Fraction / Poly) and all
 arithmetic is exact; zero-sized matrices (0 x n, n x 0, 0 x 0) are first
 class citizens because rank-0 factorizations produce them.
 
-Determinants and ring inverses share one Bareiss fraction-free
-elimination (exact division only); an inverse is always re-verified by
-multiplication before being returned.
+Products, determinants and ring inverses run on the ring's integer
+image of their operands (see ``rings``): a product entry is one sum of
+int products, and determinants and ring inverses share one Bareiss
+fraction-free elimination on ints, whose divisions are exact and
+checked.  Each result is read back from the image once, at the end; the
+slot widths below bound every polynomial coefficient read back.  An
+inverse is always re-verified by multiplication before being returned.
 """
 
 from __future__ import annotations
 
+from itertools import chain
+from math import prod
+from operator import mul
+
 from .errors import (
     DimensionMismatch,
     InternalAssertion,
+    NotDivisible,
     NotInvertibleOverRing,
     NotSquare,
     RingMismatch,
@@ -222,19 +231,20 @@ class Mat:
         self._same_ring(other)
         if self.n != other.m:
             raise DimensionMismatch(f"matmul: {self.shape} @ {other.shape}")
-        z = self.ring.zero
-        bt = other.transpose().rows
-        out = []
-        for ra in self.rows:
-            out_row = []
-            for cb in bt:
-                acc = z
-                for a, b in zip(ra, cb):
-                    if a != z and b != z:
-                        acc = acc + a * b
-                out_row.append(acc)
-            out.append(tuple(out_row))
-        return Mat._raw(self.ring, self.m, other.n, tuple(out))
+        ring = self.ring
+        cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.n
+        # rows of self and columns of other, each cleared on its own
+        (a, b), (da, db), w = ring.image((self.rows, cols), _product_width(self.n))
+        read = ring.from_image
+        return Mat._raw(
+            ring,
+            self.m,
+            other.n,
+            tuple(
+                tuple([read(sum(map(mul, ra, cb)), d * e, w) for cb, e in zip(b, db)])
+                for ra, d in zip(a, da)
+            ),
+        )
 
     def __pow__(self, k: int) -> "Mat":
         if not self.is_square():
@@ -296,46 +306,128 @@ def split_blocks(a: Mat, r: int):
 # -- determinant and inversion ------------------------------------------------
 
 
-def _bareiss(ring, work, jordan):
+def _product_width(inner):
+    """Slot width of a product with ``inner`` summands per entry: each
+    coefficient of an entry is a sum of at most inner * min(L_A, L_B)
+    products of two coefficients, L the longest coefficient list and M
+    the largest |coefficient| of a cleared factor."""
+
+    def width(cleared):
+        (la, ma), (lb, mb) = map(_longest_and_largest, cleared)
+        return ma.bit_length() + mb.bit_length() + (inner * min(la, lb)).bit_length() + 1
+
+    return width
+
+
+def _longest_and_largest(rows):
+    entries = [e for r in rows for e in r]
+    return max(map(len, entries), default=0), max(map(abs, chain.from_iterable(entries)), default=0)
+
+
+def elimination_width(cleared):
+    """Slot width of a fraction-free elimination of the rows of a cleared
+    matrix: every entry read back is a minor on some of its rows, and by
+    the Leibniz formula every coefficient of a minor on rows R is at most
+    the product over R of s_i, the sum of the |coefficients| of row i."""
+    (rows,) = cleared
+    bound = prod(max(sum(map(abs, chain.from_iterable(r))), 1) for r in rows)
+    return bound.bit_length() + 1
+
+
+# Divisors from this length on divide faster 2-adically (two products per
+# quotient) than by divmod, which the eliminations use below it: CPython's
+# long division is quadratic, its multiplication Karatsuba, and the two
+# break even near 16,000 bits on CPython 3.11.  Images of Q[x] entries of
+# high degree with long coefficients reach it, such as the core inverses
+# of some n = 8 witnesses.
+_TWO_ADIC_BITS = 16384
+
+
+def two_adic_quotient(d):
+    """The checked exact quotient a -> a // d by the int d when d is at
+    least _TWO_ADIC_BITS long, else None: divmod is then faster."""
+    return _TwoAdicQuotient(d) if d.bit_length() >= _TWO_ADIC_BITS else None
+
+
+class _TwoAdicQuotient:
+    """a // d as (a >> s) times the inverse of u modulo 2**n, for
+    d == u * 2**s with u odd and n bits enough for the balanced residue
+    of the quotient; the inverse comes from Newton's iteration
+    x <- x * (2 - u*x), each step doubling its bits, and is kept for
+    the next a.  The product q * d == a is the remainder check."""
+
+    __slots__ = ("d", "bits", "shift", "odd", "inv", "known")
+
+    def __init__(self, d):
+        self.d = d
+        self.bits = d.bit_length()
+        self.shift = (d & -d).bit_length() - 1
+        self.odd = d >> self.shift
+        self.inv = 1  # the inverse of odd modulo 2**known
+        self.known = 1
+
+    def __call__(self, a):
+        n = max(a.bit_length() - self.bits + 2, 1)  # |a // d| < 2**(n-1)
+        while self.known < n:
+            self.known *= 2
+            mask = (1 << self.known) - 1
+            self.inv = self.inv * (2 - (self.odd & mask) * self.inv) & mask
+        mask = (1 << n) - 1
+        q = ((a >> self.shift) & mask) * (self.inv & mask) & mask
+        if q >> (n - 1):
+            q -= 1 << n
+        if q * self.d != a:
+            raise NotDivisible("an exact division left a remainder")
+        return q
+
+
+def _bareiss(work, jordan):
     """Fraction-free elimination of the leading square block of ``work``.
 
-    Works in place on the rows of ``work`` (n rows, at least n columns)
-    and returns the determinant of that block.  Rows below each pivot
-    are cleared, and with ``jordan`` the rows above it too (Gauss-Jordan),
-    so the columns right of the block end up multiplied by its inverse
-    times the last pivot.  Every division is exact: intermediate entries
-    are minors of the input.  Stops at the first column with no pivot
-    and returns zero.
+    Works in place on the int rows of ``work`` (n lists of at least n
+    entries) and returns the determinant of that block.  The pivot is the
+    entry of least absolute value in its column (over Q[x], the image of
+    an entry of least degree).  Rows below each pivot are cleared, and
+    with ``jordan`` the rows above it too (Gauss-Jordan), so the columns
+    right of the block end up multiplied by its inverse times the last
+    pivot.  Intermediate entries are minors of the input, so every
+    division is exact, and a remainder raises NotDivisible.  Stops at
+    the first column with no pivot and returns zero.
     """
     n = len(work)
-    z = ring.zero
     sign_flip = False
-    prev = ring.one
+    prev = 1
     for k in range(n):
         piv = None
         best = None
         for i in range(k, n):
-            x = work[i][k]
-            if x != z:
-                s = ring.size(x)
-                if best is None or s < best:
-                    best = s
-                    piv = i
+            x = abs(work[i][k])
+            if x and (best is None or x < best):
+                best = x
+                piv = i
         if piv is None:
-            return z
+            return 0
         if piv != k:
             work[k], work[piv] = work[piv], work[k]
             sign_flip = not sign_flip
         rk = work[k]
         pkk = rk[k]
+        long = two_adic_quotient(prev)
         for i in range(0 if jordan else k + 1, n):
             if i == k:
                 continue
             ri = work[i]
             wik = ri[k]
             for j in range(k + 1, len(rk)):
-                ri[j] = ring.exact_div(pkk * ri[j] - wik * rk[j], prev)
-            ri[k] = z
+                x = pkk * ri[j] - wik * rk[j]
+                if long:
+                    ri[j] = long(x)
+                    continue
+                q, rem = divmod(x, prev)
+                if rem:
+                    raise NotDivisible("a Bareiss division left a remainder")
+                ri[j] = q
+            ri[k] = 0
         prev = pkk
     return -prev if sign_flip else prev
 
@@ -344,7 +436,10 @@ def det(a: Mat):
     """Exact determinant by the Bareiss fraction-free elimination."""
     if not a.is_square():
         raise NotSquare(f"determinant of a {a.m}x{a.n} matrix")
-    return _bareiss(a.ring, [list(row) for row in a.rows], jordan=False)
+    ring = a.ring
+    # the image is diag(D) @ a, whose determinant is prod(D) * det(a)
+    (img,), (dens,), w = ring.image((a.rows,), elimination_width)
+    return ring.from_image(_bareiss([list(r) for r in img], jordan=False), prod(dens), w)
 
 
 def inverse_over_ring(a: Mat) -> Mat:
@@ -371,19 +466,24 @@ def _inverse_over_ring(a: Mat) -> Mat:
     ring = a.ring
     n = a.n
     z, o = ring.zero, ring.one
-    work = [
-        list(row) + [o if i == j else z for j in range(n)]
-        for i, row in enumerate(a.rows)
-    ]
-    d = _bareiss(ring, work, jordan=True)
+    aug = [row + tuple(o if i == j else z for j in range(n)) for i, row in enumerate(a.rows)]
+    # the image is diag(D) @ [a | I]: its determinant is prod(D) * det(a),
+    # and its right block ends up as the last pivot times
+    # (diag(D) @ a)**-1 @ diag(D) == a**-1
+    (img,), (dens,), w = ring.image((aug,), elimination_width)
+    work = [list(r) for r in img]
+    d = ring.from_image(_bareiss(work, jordan=True), prod(dens), w)
     if not ring.is_unit(d):
         raise NotInvertibleOverRing(
             f"determinant {ring.pretty(d)} is not a unit of {ring.name}", det=d
         )
     if n == 0:
         return a
-    scale = ring.unit_inverse(work[n - 1][n - 1])
-    return Mat._raw(ring, n, n, tuple(tuple(scale * x for x in row[n:]) for row in work))
+    # a unit determinant is a constant, so the last pivot is that constant
+    # times prod(D), not a packed polynomial
+    last = work[n - 1][n - 1]
+    read = ring.from_image
+    return Mat._raw(ring, n, n, tuple(tuple(read(x, last, w) for x in row[n:]) for row in work))
 
 
 def solve_in_column_module(a: Mat, b: Mat) -> Mat:

@@ -8,10 +8,31 @@ rationals.  Ordinary arithmetic on payloads uses Python operators; only
 operations whose meaning depends on the ring go through the ring object.
 
 A ``Poly`` is stored as int numerators over one positive int denominator
-in lowest terms, so its arithmetic (schoolbook products, pseudo-division,
-one gcd normalisation per result) runs on Python ints and creates no
+in lowest terms, so its arithmetic (pseudo-division, one gcd
+normalisation per result) runs on Python ints and creates no
 ``Fraction``; ``Poly.coeffs`` builds the ``Fraction`` coefficients on
 demand for readers that want them.
+
+Integer images.  Matrix products and fraction-free eliminations run on
+ints, whatever the ring.  ``image(mats, width)`` returns
+``(images, dens, w)``: each matrix (a sequence of rows) with each row
+times the least common denominator of its entries, ``dens[i][r]`` for
+row r of matrix i, as a sequence of rows of ints.  Over the integers
+the image is the matrix itself, over the rationals its numerators.
+Over the polynomials each cleared entry, a list of integer
+coefficients, is evaluated at x = 2**w (Kronecker substitution),
+``w = width(cleared)`` for the cleared matrices.  ``from_image(v, den,
+w)`` is the element v/den of an image v.  Evaluation at 2**w is a ring
+map from Z[x] to Z, and it is one-to-one on polynomials whose
+coefficients are all less than 2**(w-1) in absolute value (their
+balanced base-2**w digits); so a computation on images reads back the
+polynomial result whenever w bounds every coefficient that is read
+back.  Intermediate values never read back may exceed it.  The callers
+in ``matrix`` and ``field_oracle`` choose w from such bounds; the
+integer and rational images ignore ``width`` (w is 0).  Clearing
+denominators row by row rather than by one common denominator keeps a
+minor on rows R scaled by the denominators of R alone, not by a power
+of the largest.
 
 xgcd contract, identical across rings.  ``xgcd(a, b)`` returns
 ``(g, s, t, u, v)`` with
@@ -311,6 +332,14 @@ def _add(p: Poly, q: Poly, negate: bool) -> Poly:
 _ZERO = _raw((), 1)
 
 
+def _pack(num, w: int) -> int:
+    """The integer coefficients num (ascending) evaluated at x = 2**w."""
+    v = 0
+    for c in reversed(num):
+        v = (v << w) + c
+    return v
+
+
 def _parse_rational(obj) -> Fraction:
     if isinstance(obj, bool):
         raise FormatError(f"not a rational: {obj!r}")
@@ -369,6 +398,12 @@ class IntegerRing:
         if b == 0:
             return a == 0
         return a % b == 0
+
+    def image(self, mats, width):
+        return list(mats), [(1,) * len(m) for m in mats], 0
+
+    def from_image(self, v, den, w):
+        return v if den == 1 else self.exact_div(v, den)
 
     def pivot_reduce(self, a, p):
         """(q, r) with a == q*p + r and 0 <= r < p (p a canonical pivot, p > 0)."""
@@ -478,6 +513,17 @@ class RationalField:
     def divides(self, b, a) -> bool:
         return not (b == 0 and a != 0)
 
+    def image(self, mats, width):
+        images, dens = [], []
+        for m in mats:
+            ds = [lcm(*[e.denominator for e in r]) for r in m]
+            images.append([[e.numerator * (d // e.denominator) for e in r] for d, r in zip(ds, m)])
+            dens.append(ds)
+        return images, dens, 0
+
+    def from_image(self, v, den, w):
+        return Fraction(v, den)
+
     def pivot_reduce(self, a, p):
         return a / p, Fraction(0)
 
@@ -556,6 +602,33 @@ class PolynomialRing:
         if b.is_zero():
             return a.is_zero()
         return a.divmod(b)[1].is_zero()
+
+    def image(self, mats, width):
+        cleared, dens = [], []
+        for m in mats:
+            ds = [lcm(*[e.den for e in r]) for r in m]
+            cleared.append([
+                [e.num if e.den == d else [c * (d // e.den) for c in e.num] for e in r]
+                for d, r in zip(ds, m)
+            ])
+            dens.append(ds)
+        w = width(cleared)
+        # an entry with at most one coefficient is its own image
+        images = [[[_pack(e, w) if len(e) > 1 else sum(e) for e in r] for r in rows] for rows in cleared]
+        return images, dens, w
+
+    def from_image(self, v, den, w):
+        mask = (1 << w) - 1
+        half = 1 << (w - 1)
+        num = []
+        while v:
+            c = v & mask
+            v >>= w
+            if c >= half:  # a negative digit borrowed one from the next slot
+                c -= mask + 1
+                v += 1
+            num.append(c)
+        return _poly(num, den)
 
     def pivot_reduce(self, a, p):
         """(q, r) with a == q*p + r and deg r < deg p (p monic)."""
