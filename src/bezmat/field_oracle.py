@@ -35,11 +35,13 @@ check covers both results: with delta the denominator,
     X N == N X,   N X N == delta N,   X^(k+1) N == delta X^k,
 
 and a failure raises InternalAssertion.  The oracle keeps its own
-elimination loop: it shares no elimination code with the ring path
-(normal_forms, det, inverse_over_ring), so a bug there cannot agree
-with itself here.  It does share the ring's integer image (see
-``rings``) and ``@``, which run on that image; ``tests/test_images.py``
-guards both against a schoolbook reference on Fraction coefficients.
+elimination loop (pivot order, column skipping, Gauss-Jordan on every
+row): it shares no elimination loop with the ring path (normal_forms,
+det, inverse_over_ring), so a bug there cannot agree with itself here.
+It does share the ring's integer image, the checked row update
+``rings.fraction_free_step`` and ``@``, which run on that image;
+``tests/test_images.py`` guards them against a schoolbook reference on
+Fraction coefficients.
 Integrality is decided on ring elements (``_lower``), never on images:
 an image can divide where the ring element does not.
 """
@@ -51,7 +53,8 @@ from math import prod
 
 from . import faults
 from .errors import InternalAssertion, NotDivisible, NotSquare
-from .matrix import Mat, elimination_width, two_adic_quotient
+from .matrix import Mat
+from .rings import elimination_width, fraction_free_step
 
 
 def _rref_den(ring, rows, width):
@@ -89,21 +92,9 @@ def _rref_den(ring, rows, width):
         order[i], order[p] = order[p], order[i]
         pr = rows[i]
         piv = pr[j]
-        long = two_adic_quotient(d)
         for t, r in enumerate(rows):
-            if t == i:
-                continue
-            f = r[j]
-            for c, e in enumerate(r):
-                if e or (f and pr[c]):
-                    e = piv * e - f * pr[c]
-                    if long:
-                        r[c] = long(e)
-                        continue
-                    e, rem = divmod(e, d)
-                    if rem:
-                        raise NotDivisible("an oracle division left a remainder")
-                    r[c] = e
+            if t != i:
+                fraction_free_step(r, piv, r[j], pr, d)
         cols.append(j)
         d = piv
     read = ring.from_image

@@ -3,14 +3,23 @@
 One index search decides both.  It takes det(X) first: a unit gives
 index 0 and X^D == X^-1; a nonzero non-unit leaves X^-1, the only
 fraction-field candidate, outside the ring.  For a singular X it walks
-k = 1, 2, ...: X^k @ T == H (column Hermite form) gives X^k == L @ Rt,
-L the r nonzero columns of H, and the core Rt @ L decides the power.
+k = 1, 2, ...: with P the transpose of X^k, P @ T == H (column Hermite
+form) gives P == L @ Rt, L the r nonzero columns of H, and the core
+Rt @ L decides the power.
 
   * det(Rt @ L) == 0 exactly when rank(X^2k) < rank(X^k): k is below
     the index, so the search moves on to X^(k+1).
   * Otherwise k is the index over the fraction field, and X^D is
     integral exactly when Rt @ L is unimodular, since its inverse is
-    Rt @ (X^k)^# @ T[:, :r].  Then X^D == X^(k-1) @ L @ (Rt @ L)^-2 @ Rt.
+    Rt @ P^# @ T[:, :r].  Then P^# == L @ (Rt @ L)^-2 @ Rt and
+    X^D == X^(k-1) @ (P^#)^T.
+
+Any factorization of a power over the ring gives the same decisions and
+the same X^D.  The transpose is factored, i.e. the row Hermite form of
+X^k, because over Q[x] the column Hermite basis of a power can carry
+rational coefficients hundreds of bits long where the row basis stays
+small (the generated n = 8 witnesses: 360-860-bit denominators in the
+core against integer entries), and the core inverse then costs seconds.
 
 The group inverse is the case k <= 1: X^# exists exactly when the
 search ends at k <= 1, and is then X^D.  (This factor criterion is
@@ -72,7 +81,7 @@ def _index_search(x: Mat, last: int):
     for k in range(1, last + 1):
         if k > 1:
             prev, power = power, power @ x
-        rf = _rank_factorization(power)
+        rf = _rank_factorization(power.transpose())
         try:
             core_inv = _inverse_over_ring(rf.Rt @ rf.L)
         except NotInvertibleOverRing as exc:
@@ -81,7 +90,7 @@ def _index_search(x: Mat, last: int):
             raise NotDrazinInvertible(
                 f"no power X^k with k <= {x.n} is group invertible over {ring.name}"
             ) from exc
-        dinv = rf.L @ core_inv @ core_inv @ rf.Rt
+        dinv = (rf.L @ core_inv @ core_inv @ rf.Rt).transpose()
         if prev is not None:
             dinv = prev @ dinv
         xd = x @ dinv

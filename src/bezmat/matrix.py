@@ -11,24 +11,24 @@ image of their operands (see ``rings``): a product entry is one sum of
 int products, and determinants and ring inverses share one Bareiss
 fraction-free elimination on ints, whose divisions are exact and
 checked.  Each result is read back from the image once, at the end; the
-slot widths below bound every polynomial coefficient read back.  An
-inverse is always re-verified by multiplication before being returned.
+slot widths of ``rings`` bound every polynomial coefficient read back.
+An inverse is always re-verified by multiplication before being
+returned.
 """
 
 from __future__ import annotations
 
-from itertools import chain
 from math import prod
 from operator import mul
 
 from .errors import (
     DimensionMismatch,
     InternalAssertion,
-    NotDivisible,
     NotInvertibleOverRing,
     NotSquare,
     RingMismatch,
 )
+from .rings import elimination_width, fraction_free_step, product_width
 
 class Mat:
     __slots__ = ("ring", "m", "n", "rows")
@@ -234,7 +234,7 @@ class Mat:
         ring = self.ring
         cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.n
         # rows of self and columns of other, each cleared on its own
-        (a, b), (da, db), w = ring.image((self.rows, cols), _product_width(self.n))
+        (a, b), (da, db), w = ring.image((self.rows, cols), product_width(self.n))
         read = ring.from_image
         return Mat._raw(
             ring,
@@ -306,81 +306,6 @@ def split_blocks(a: Mat, r: int):
 # -- determinant and inversion ------------------------------------------------
 
 
-def _product_width(inner):
-    """Slot width of a product with ``inner`` summands per entry: each
-    coefficient of an entry is a sum of at most inner * min(L_A, L_B)
-    products of two coefficients, L the longest coefficient list and M
-    the largest |coefficient| of a cleared factor."""
-
-    def width(cleared):
-        (la, ma), (lb, mb) = map(_longest_and_largest, cleared)
-        return ma.bit_length() + mb.bit_length() + (inner * min(la, lb)).bit_length() + 1
-
-    return width
-
-
-def _longest_and_largest(rows):
-    entries = [e for r in rows for e in r]
-    return max(map(len, entries), default=0), max(map(abs, chain.from_iterable(entries)), default=0)
-
-
-def elimination_width(cleared):
-    """Slot width of a fraction-free elimination of the rows of a cleared
-    matrix: every entry read back is a minor on some of its rows, and by
-    the Leibniz formula every coefficient of a minor on rows R is at most
-    the product over R of s_i, the sum of the |coefficients| of row i."""
-    (rows,) = cleared
-    bound = prod(max(sum(map(abs, chain.from_iterable(r))), 1) for r in rows)
-    return bound.bit_length() + 1
-
-
-# Divisors from this length on divide faster 2-adically (two products per
-# quotient) than by divmod, which the eliminations use below it: CPython's
-# long division is quadratic, its multiplication Karatsuba, and the two
-# break even near 16,000 bits on CPython 3.11.  Images of Q[x] entries of
-# high degree with long coefficients reach it, such as the core inverses
-# of some n = 8 witnesses.
-_TWO_ADIC_BITS = 16384
-
-
-def two_adic_quotient(d):
-    """The checked exact quotient a -> a // d by the int d when d is at
-    least _TWO_ADIC_BITS long, else None: divmod is then faster."""
-    return _TwoAdicQuotient(d) if d.bit_length() >= _TWO_ADIC_BITS else None
-
-
-class _TwoAdicQuotient:
-    """a // d as (a >> s) times the inverse of u modulo 2**n, for
-    d == u * 2**s with u odd and n bits enough for the balanced residue
-    of the quotient; the inverse comes from Newton's iteration
-    x <- x * (2 - u*x), each step doubling its bits, and is kept for
-    the next a.  The product q * d == a is the remainder check."""
-
-    __slots__ = ("d", "bits", "shift", "odd", "inv", "known")
-
-    def __init__(self, d):
-        self.d = d
-        self.bits = d.bit_length()
-        self.shift = (d & -d).bit_length() - 1
-        self.odd = d >> self.shift
-        self.inv = 1  # the inverse of odd modulo 2**known
-        self.known = 1
-
-    def __call__(self, a):
-        n = max(a.bit_length() - self.bits + 2, 1)  # |a // d| < 2**(n-1)
-        while self.known < n:
-            self.known *= 2
-            mask = (1 << self.known) - 1
-            self.inv = self.inv * (2 - (self.odd & mask) * self.inv) & mask
-        mask = (1 << n) - 1
-        q = ((a >> self.shift) & mask) * (self.inv & mask) & mask
-        if q >> (n - 1):
-            q -= 1 << n
-        if q * self.d != a:
-            raise NotDivisible("an exact division left a remainder")
-        return q
-
-
 def _bareiss(work, jordan):
     """Fraction-free elimination of the leading square block of ``work``.
 
@@ -412,21 +337,11 @@ def _bareiss(work, jordan):
             sign_flip = not sign_flip
         rk = work[k]
         pkk = rk[k]
-        long = two_adic_quotient(prev)
         for i in range(0 if jordan else k + 1, n):
             if i == k:
                 continue
             ri = work[i]
-            wik = ri[k]
-            for j in range(k + 1, len(rk)):
-                x = pkk * ri[j] - wik * rk[j]
-                if long:
-                    ri[j] = long(x)
-                    continue
-                q, rem = divmod(x, prev)
-                if rem:
-                    raise NotDivisible("a Bareiss division left a remainder")
-                ri[j] = q
+            fraction_free_step(ri, pkk, ri[k], rk, prev, k + 1)
             ri[k] = 0
         prev = pkk
     return -prev if sign_flip else prev

@@ -27,12 +27,15 @@ map from Z[x] to Z, and it is one-to-one on polynomials whose
 coefficients are all less than 2**(w-1) in absolute value (their
 balanced base-2**w digits); so a computation on images reads back the
 polynomial result whenever w bounds every coefficient that is read
-back.  Intermediate values never read back may exceed it.  The callers
-in ``matrix`` and ``field_oracle`` choose w from such bounds; the
-integer and rational images ignore ``width`` (w is 0).  Clearing
-denominators row by row rather than by one common denominator keeps a
-minor on rows R scaled by the denominators of R alone, not by a power
-of the largest.
+back.  Intermediate values never read back may exceed it.  The width
+rules here give such bounds: ``product_width(inner)`` for a product,
+``elimination_width`` for a fraction-free elimination; the integer and
+rational images ignore ``width`` (w is 0).  Clearing denominators row by
+row rather than by one common denominator keeps a minor on rows R
+scaled by the denominators of R alone, not by a power of the largest.
+``fraction_free_step`` is the row update of both eliminations on
+images (``matrix._bareiss`` and ``field_oracle._rref_den``), with its
+exact division checked.
 
 xgcd contract, identical across rings.  ``xgcd(a, b)`` returns
 ``(g, s, t, u, v)`` with
@@ -76,7 +79,8 @@ only costs time.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import chain
+from math import gcd, lcm, prod
 from operator import add, sub
 
 from .errors import DivisionByZero, FormatError, NotDivisible
@@ -338,6 +342,50 @@ def _pack(num, w: int) -> int:
     for c in reversed(num):
         v = (v << w) + c
     return v
+
+
+def product_width(inner):
+    """Slot width of a product with ``inner`` summands per entry: each
+    coefficient of an entry is a sum of at most inner * min(L_A, L_B)
+    products of two coefficients, L the longest coefficient list and M
+    the largest |coefficient| of a cleared factor."""
+
+    def width(cleared):
+        (la, ma), (lb, mb) = map(_longest_and_largest, cleared)
+        return ma.bit_length() + mb.bit_length() + (inner * min(la, lb)).bit_length() + 1
+
+    return width
+
+
+def _longest_and_largest(rows):
+    entries = [e for r in rows for e in r]
+    return max(map(len, entries), default=0), max(map(abs, chain.from_iterable(entries)), default=0)
+
+
+def elimination_width(cleared):
+    """Slot width of a fraction-free elimination of the rows of a cleared
+    matrix: every entry read back is a minor on some of its rows, and by
+    the Leibniz formula every coefficient of a minor on rows R is at most
+    the product over R of s_i, the sum of the |coefficients| of row i."""
+    (rows,) = cleared
+    bound = prod(max(sum(map(abs, chain.from_iterable(r))), 1) for r in rows)
+    return bound.bit_length() + 1
+
+
+def fraction_free_step(row, p, f, pivot_row, d, start=0):
+    """Replace row[j], for j >= start, by (p*row[j] - f*pivot_row[j]) / d:
+    the fraction-free update of an image row by the pivot row, p the
+    pivot, f the row's entry in the pivot column and d the previous
+    pivot.  The quotients are exact when the entries are minors; a
+    remainder raises NotDivisible."""
+    for j in range(start, len(row)):
+        x = row[j]
+        y = pivot_row[j]
+        if x or (f and y):
+            x, r = divmod(p * x - f * y, d)
+            if r:
+                raise NotDivisible("a fraction-free elimination step left a remainder")
+            row[j] = x
 
 
 def _parse_rational(obj) -> Fraction:

@@ -19,11 +19,10 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bezmat import matrix
 from bezmat.errors import NotDivisible, NotInvertibleOverRing
 from bezmat.field_oracle import _inverse_num, fraction_field_oracle
-from bezmat.matrix import Mat, det, elimination_width, inverse_over_ring, two_adic_quotient
-from bezmat.rings import QQ, QQX, RINGS, ZZ, Poly
+from bezmat.matrix import Mat, det, inverse_over_ring
+from bezmat.rings import QQ, QQX, RINGS, ZZ, Poly, elimination_width, fraction_free_step, product_width
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +432,7 @@ def test_width_stress_at_degree_nine(den):
     xy = x @ y
     assert xy == ref_mat(QQX, ref_matmul(a, b, n), n)
     # the product's cleared coefficients come within 3 bits of its slot edge
-    _, (da, db), w = QQX.image((x.rows, tuple(zip(*y.rows))), matrix._product_width(n))
+    _, (da, db), w = QQX.image((x.rows, tuple(zip(*y.rows))), product_width(n))
     top = max(abs(c) * da[i] * db[j] // e.den for i, row in enumerate(xy.rows) for j, e in enumerate(row) for c in e.num)
     assert w - 4 <= top.bit_length() <= w - 1
     d = ref_det(a)
@@ -447,37 +446,25 @@ def test_width_stress_at_degree_nine(den):
 
 
 # ---------------------------------------------------------------------------
-# exact division of long images
+# the checked row update and long images
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("bits", [matrix._TWO_ADIC_BITS, 3 * matrix._TWO_ADIC_BITS])
-def test_two_adic_quotient_divides_exactly_and_checks(bits):
-    rnd = random.Random(bits)
-    assert two_adic_quotient(1 << (matrix._TWO_ADIC_BITS - 2)) is None
-    for shift in (0, 1, 37):
-        d = (rnd.getrandbits(bits) | 1 << (bits - 1) | 1) << shift
-        for sign in (1, -1):
-            quotient = two_adic_quotient(sign * d)
-            for q in (0, 1, -1, rnd.getrandbits(bits // 2) - (1 << (bits // 2 - 1)), -rnd.getrandbits(2 * bits)):
-                assert quotient(q * sign * d) == q
-            for off in (1, -1, d // 2, 1 << (bits + shift + 5)):
-                with pytest.raises(NotDivisible):
-                    quotient(rnd.getrandbits(bits) * d + off)
+def test_fraction_free_step_checks_every_quotient():
+    # the 2 x 2 minors of [[2, 4, 6], [3, 5, 8]] over the previous pivot 1,
+    # then the same row over a previous pivot that divides none of them
+    row = [3, 5, 8]
+    fraction_free_step(row, 2, 3, [2, 4, 6], 1, 1)
+    assert row == [3, -2, -2]
+    fraction_free_step(row, 2, 0, [0, 1, 1], 2, 1)
+    assert row == [3, -2, -2]
+    with pytest.raises(NotDivisible):
+        fraction_free_step([3, 5, 8], 2, 3, [2, 4, 6], 4, 1)
 
 
-def test_long_images_match_the_reference(monkeypatch):
-    # dense degree-20 entries with 200-bit coefficients: the divisors of
-    # the determinant and of the oracle's elimination pass the two-adic
-    # threshold
-    seen = []
-
-    class Counted(matrix._TwoAdicQuotient):
-        def __init__(self, d):
-            seen.append(d.bit_length())
-            super().__init__(d)
-
-    monkeypatch.setattr(matrix, "_TwoAdicQuotient", Counted)
+def test_long_images_match_the_reference():
+    # dense degree-20 entries with 200-bit coefficients: the images run
+    # to tens of thousands of bits, and every exact division is checked
     rnd = random.Random(4)
     n = 4
     a = [
@@ -496,4 +483,3 @@ def test_long_images_match_the_reference(monkeypatch):
     assert [[rmul(to_ref(QQX, e), d) for e in row] for row in num.rows] == [
         [rmul(e, to_ref(QQX, delta)) for e in row] for row in adj
     ]
-    assert max(seen) >= matrix._TWO_ADIC_BITS
