@@ -18,8 +18,9 @@ Any factorization of a power over the ring gives the same decisions and
 the same X^D.  The transpose is factored, i.e. the row Hermite form of
 X^k, because over Q[x] the column Hermite basis of a power can carry
 rational coefficients hundreds of bits long where the row basis stays
-small (the generated n = 8 witnesses: 360-860-bit denominators in the
-core against integer entries), and the core inverse then costs seconds.
+small: on the generated n = 8 witnesses the column basis gave cores
+with 360-860-bit denominators, which take up to 1.5 s to invert on
+integer images, and the row basis cores with integer entries.
 
 The group inverse is the case k <= 1: X^# exists exactly when the
 search ends at k <= 1, and is then X^D.  (This factor criterion is
