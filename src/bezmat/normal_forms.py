@@ -19,12 +19,12 @@ A == U @ S @ V with S diagonal, each diagonal entry canonical and
 dividing the next.
 
 Every elimination step is unimodular, so every accumulated transform
-has unit determinant by construction.  The Hermite form uses column
-swaps, scaling by a unit (over the polynomials also to a primitive
-column, ``ring.primitive``), and shears by remainder quotients
-(``ring.small_quotient``, then ``ring.pivot_reduce`` left of a pivot);
-it calls no xgcd.  The Smith form also uses the 2x2 unimodular block
-given by the ring's xgcd.
+has unit determinant by construction.  Both forms use swaps, scaling by
+a unit (over the polynomials also to a primitive line,
+``ring.primitive``), and shears by remainder quotients
+(``ring.small_quotient``) in one remainder loop, ``_remainder_loop``;
+the Hermite form then reduces left of each pivot by
+``ring.pivot_reduce``.  Neither calls xgcd.
 """
 
 from __future__ import annotations
@@ -58,46 +58,85 @@ class SmithResult(namedtuple("SmithResult", "U S V")):
         return len(self.diagonal())
 
 
+def _remainder_loop(ring, lines, live, i, co):
+    """Clear entry i of the lines in live down to one nonzero line, and
+    return its index.
+
+    The line p whose entry i is of least ``ring.size`` is the pivot, and
+    every other line j loses the ``ring.small_quotient`` multiple of it
+    (``_shear``, which keeps the co-lines ``co``).  Each pass leaves only
+    remainders smaller than the pivot, so the loop ends.  The quotients
+    stay about as small as the entries; an xgcd 2x2 block would multiply
+    whole lines by cofactors as large as the entries.  Over the
+    polynomials each changed line j is then divided by its
+    ``ring.primitive`` unit and co[j] multiplied by it: without this the
+    rational coefficients of the quotients pile up in the lines still to
+    be cleared.  Every line in live is zero before entry i.
+    """
+    size = ring.size
+    small_quotient = ring.small_quotient
+    primitive = ring.primitive
+    one = ring.one
+    while True:
+        p = min(live, key=lambda j: size(lines[j][i]))
+        piv = lines[p][i]
+        rest = []
+        for j in live:
+            if j != p:
+                dst = lines[j]
+                _shear(lines, co, j, p, small_quotient(dst[i], piv), i)
+                if primitive is not None:
+                    unit, dst[i:] = primitive(dst[i:])
+                    if unit != one:
+                        co[j][:] = [unit * y for y in co[j]]
+                if dst[i]:
+                    rest.append(j)
+        if not rest:
+            return p
+        rest.append(p)
+        live = rest
+
+
+def _shear(lines, co, j, p, q, i):
+    """lines[j] -= q * lines[p] from entry i on, and co[p] += q * co[j].
+
+    co[j] is the line of the opposite transform that line j pairs with
+    (a column of U for a row of S), which takes the inverse step, so
+    their product stays the same.  Zero entries (every payload is falsy
+    exactly when zero) are skipped.
+    """
+    dst, src = lines[j], lines[p]
+    for r in range(i, len(dst)):
+        y = src[r]
+        if y:
+            dst[r] -= q * y
+    cdst, csrc = co[p], co[j]
+    for r, y in enumerate(csrc):
+        if y:
+            cdst[r] += q * y
+
+
 def column_hermite(a: Mat) -> HermiteResult:
     """A @ T == H with H the canonical column form and T unimodular.
 
-    Pivot row i is cleared in the columns k.. not yet reduced by a
-    remainder loop: the entry of least ``ring.size`` is the candidate,
-    and every other nonzero entry loses the ``ring.small_quotient``
-    multiple of its column.  Each pass leaves only remainders smaller
-    than the candidate, so the loop ends with one nonzero entry; its
-    column moves to k, is scaled to the canonical associate, and the
-    entries to its left are reduced by ``ring.pivot_reduce``.  The
-    quotients stay about as small as the entries; an xgcd 2x2 block
-    would multiply whole columns by cofactors as large as the entries.
-    Over the polynomials each column step is followed by
-    ``ring.primitive``, a scaling by a unit: without it the rational
-    coefficients of the quotients pile up in the columns still to be
-    cleared.
+    Pivot row i is cleared in the columns k.. not yet reduced by
+    ``_remainder_loop``; the column left moves to k, is scaled to the
+    canonical associate, and the entries to its left are reduced by
+    ``ring.pivot_reduce``.
 
     The work is done on columns of H stacked on the columns of T, so a
-    column step is one loop.  Columns k.. of H are zero above row i, so
-    every step starts at row i.
+    column step is one line step, and no opposite transform is kept (the
+    co-lines are empty).  Columns k.. of H are zero above row i, so every
+    step starts at row i.
     """
     ring = a.ring
     m, n = a.m, a.n
     z, one = ring.zero, ring.one
-    size = ring.size
-    small_quotient = ring.small_quotient
-    primitive = ring.primitive
     C = [list(c) for c in zip(*a.rows)] if m else [[] for _ in range(n)]
     for j, col in enumerate(C):
         col.extend(one if r == j else z for r in range(n))
     height = m + n
-
-    def col_addmul(jdst, jsrc, c, i):
-        # col_jdst += c * col_jsrc from row i down; zero entries (every
-        # payload is falsy exactly when zero) are skipped
-        cd, cs = C[jdst], C[jsrc]
-        for r in range(i, height):
-            y = cs[r]
-            if y:
-                cd[r] += c * y
+    no_co = [[]] * n
 
     pivot_rows = []
     k = 0
@@ -107,21 +146,7 @@ def column_hermite(a: Mat) -> HermiteResult:
         live = [j for j in range(k, n) if C[j][i] != z]
         if not live:
             continue
-        while True:
-            p = min(live, key=lambda j: size(C[j][i]))
-            piv = C[p][i]
-            rest = []
-            for j in live:
-                if j != p:
-                    col_addmul(j, p, -small_quotient(C[j][i], piv), i)
-                    if primitive is not None:
-                        C[j][i:] = primitive(C[j][i:])
-                    if C[j][i] != z:
-                        rest.append(j)
-            if not rest:
-                break
-            rest.append(p)
-            live = rest
+        p = _remainder_loop(ring, C, live, i, no_co)
         C[k], C[p] = C[p], C[k]
         unit, _ = ring.canonicalize(C[k][i])
         if unit != one:
@@ -135,7 +160,7 @@ def column_hermite(a: Mat) -> HermiteResult:
             if x != z:
                 q, _ = ring.pivot_reduce(x, piv)
                 if q != z:
-                    col_addmul(j, k, -q, i)
+                    _shear(C, no_co, j, k, q, i)
         pivot_rows.append(i)
         k += 1
 
@@ -187,6 +212,19 @@ def smith(a: Mat) -> SmithResult:
     inverse as a column step on U, and every column step on S applies its
     inverse as a row step on V, so U @ S @ V == A holds throughout.
 
+    S is held as its rows, paired with the columns of U, or as its
+    columns, paired with the rows of V; one orientation is the other's
+    transpose, so ``_remainder_loop`` does the row steps in the first and
+    the column steps in the second.  Pivot t starts on the rows, with the
+    entry of least ``ring.size`` moved to (t, t).  The loop clears entry t
+    of the lines t.. and the line left moves to t.  While line t has a
+    nonzero entry past t, S is transposed and cleared again; a refill
+    needs a strictly smaller pivot, so this ends.  A pivot that does not
+    divide an entry of the lines past t takes in that entry's line, and
+    the clearing repeats with the gcd as pivot.  There is no xgcd 2x2
+    block: its cofactors, as large as the entries, multiplied whole rows
+    and columns, and U reached 854,935 bits at n = 32.
+
     The result is checked before it is returned: S must equal diag(d)
     padded with zeros, d being its r nonzero diagonal entries, and
     U[:, :r] @ diag(d) @ V[:r, :] must equal A (together, U @ S @ V ==
@@ -194,69 +232,21 @@ def smith(a: Mat) -> SmithResult:
     """
     ring = a.ring
     m, n = a.m, a.n
-    z = ring.zero
+    z, one = ring.zero, ring.one
     S = [list(row) for row in a.rows]
-    U = [[ring.one if i == j else z for j in range(m)] for i in range(m)]
-    V = [[ring.one if i == j else z for j in range(n)] for i in range(n)]
+    co = [[one if i == j else z for i in range(m)] for j in range(m)]  # columns of U
+    other = [[one if i == j else z for j in range(n)] for i in range(n)]  # rows of V
+    flipped = False
 
-    def row_swap(i0, i1):
+    def swap(i0, i1):
         S[i0], S[i1] = S[i1], S[i0]
-        for row in U:
-            row[i0], row[i1] = row[i1], row[i0]
+        co[i0], co[i1] = co[i1], co[i0]
 
-    def col_swap(j0, j1):
-        for row in S:
-            row[j0], row[j1] = row[j1], row[j0]
-        V[j0], V[j1] = V[j1], V[j0]
-
-    # The 2x2 steps below have determinant s*u + t*v == 1 (xgcd), so
-    # [[s, t], [-v, u]] has inverse [[u, -t], [v, s]].
-    def row_combine(ik, ii, s, t, u, v):
-        # (row_k, row_i) <- (s*rk + t*ri, -v*rk + u*ri)
-        rk, ri = S[ik], S[ii]
-        for j in range(n):
-            x, y = rk[j], ri[j]
-            rk[j] = s * x + t * y
-            ri[j] = u * y - v * x
-        for row in U:
-            x, y = row[ik], row[ii]
-            row[ik] = u * x + v * y
-            row[ii] = s * y - t * x
-
-    def col_combine(jk, jj, s, t, u, v):
-        # (col_k, col_j) <- (s*ck + t*cj, -v*ck + u*cj)
-        for row in S:
-            x, y = row[jk], row[jj]
-            row[jk] = s * x + t * y
-            row[jj] = u * y - v * x
-        vk, vj = V[jk], V[jj]
-        for i in range(n):
-            x, y = vk[i], vj[i]
-            vk[i] = u * x + v * y
-            vj[i] = s * y - t * x
-
-    def row_addmul(idst, isrc, c):
-        rd, rs = S[idst], S[isrc]
-        for j in range(n):
-            rd[j] = rd[j] + c * rs[j]
-        for row in U:
-            row[isrc] = row[isrc] - c * row[idst]
-
-    def col_addmul(jdst, jsrc, c):
-        for row in S:
-            row[jdst] = row[jdst] + c * row[jsrc]
-        vd, vs = V[jdst], V[jsrc]
-        for i in range(n):
-            vs[i] = vs[i] - c * vd[i]
-
-    def row_scale(i, unit):
-        # row_i <- row_i / unit
-        c = ring.unit_inverse(unit)
-        row = S[i]
-        for j in range(n):
-            row[j] = c * row[j]
-        for row in U:
-            row[i] = unit * row[i]
+    def flip():
+        nonlocal S, co, other, flipped
+        S = [list(c) for c in zip(*S)]
+        co, other = other, co
+        flipped = not flipped
 
     t = 0
     limit = min(m, n)
@@ -264,66 +254,43 @@ def smith(a: Mat) -> SmithResult:
         where = _least_entry(S, t, ring)
         if where is None:
             break
-        i0, j0 = where
-        if i0 != t:
-            row_swap(t, i0)
-        if j0 != t:
-            col_swap(t, j0)
-        # Clearing policy: when the pivot divides the entry, a shear
-        # (add a multiple of the pivot row/column) removes it without
-        # touching the opposite line, so nothing refills.  Otherwise an
-        # xgcd 2x2 transform is used, which replaces the pivot by the
-        # gcd — a strictly smaller element — so only finitely many xgcd
-        # steps can ever happen at one diagonal position.  Together the
-        # two cases make this loop terminate.
+        i, j = where
+        swap(t, i)
+        for line in S:
+            line[t], line[j] = line[j], line[t]
+        other[t], other[j] = other[j], other[t]
         while True:
-            for i in range(t + 1, m):
-                x = S[i][t]
-                if x != z:
-                    piv = S[t][t]
-                    if ring.divides(piv, x):
-                        row_addmul(i, t, -ring.exact_div(x, piv))
-                    else:
-                        g, s, tt, u, v = ring.xgcd(piv, x)
-                        row_combine(t, i, s, tt, u, v)
-            col_dirty = False
-            for j in range(t + 1, n):
-                x = S[t][j]
-                if x != z:
-                    piv = S[t][t]
-                    if ring.divides(piv, x):
-                        col_addmul(j, t, -ring.exact_div(x, piv))
-                    else:
-                        g, s, tt, u, v = ring.xgcd(piv, x)
-                        col_combine(t, j, s, tt, u, v)
-                        col_dirty = True
-            # xgcd column work may have refilled the pivot column
-            if not col_dirty or all(S[i][t] == z for i in range(t + 1, m)):
+            live = [j for j in range(t, len(S)) if S[j][t]]
+            if live != [t]:
+                swap(t, _remainder_loop(ring, S, live, t, co))
+            if any(S[t][t + 1:]):
+                # clear line t from the other side
+                flip()
+                continue
+            piv = S[t][t]
+            # the line of an entry the pivot does not divide (a unit pivot
+            # divides every entry); line t takes it in and is cleared again
+            j = None if ring.is_unit(piv) else next(
+                (i for i in range(t + 1, len(S)) for x in S[i][t + 1:] if x and not ring.divides(piv, x)),
+                None,
+            )
+            if j is None:
                 break
-        # pull in any entry the pivot does not divide, then re-clear (a
-        # unit pivot divides every entry)
-        repaired = False
-        piv = S[t][t]
-        if not ring.is_unit(piv):
-            for i in range(t + 1, m):
-                if repaired:
-                    break
-                for j in range(t + 1, n):
-                    if S[i][j] != z and not ring.divides(piv, S[i][j]):
-                        row_addmul(t, i, ring.one)
-                        repaired = True
-                        break
-        if repaired:
-            continue  # redo clearing at the same t
+            _shear(S, co, t, j, -one, t)
         unit, _ = ring.canonicalize(piv)
-        if unit != ring.one:
-            row_scale(t, unit)
+        if unit != one:
+            c = ring.unit_inverse(unit)
+            S[t] = [c * x for x in S[t]]
+            co[t] = [unit * y for y in co[t]]
+        if flipped:
+            flip()
         t += 1
 
+    U = tuple(zip(*co)) if m else ()
     result = SmithResult(
-        U=Mat._raw(ring, m, m, tuple(tuple(r) for r in U)),
+        U=Mat._raw(ring, m, m, U),
         S=Mat._raw(ring, m, n, tuple(tuple(r) for r in S)),
-        V=Mat._raw(ring, n, n, tuple(tuple(r) for r in V)),
+        V=Mat._raw(ring, n, n, tuple(tuple(r) for r in other)),
     )
     d = result.diagonal()
     r = len(d)

@@ -37,7 +37,10 @@ scaled by the denominators of R alone, not by a power of the largest.
 images (``matrix._bareiss`` and ``field_oracle._rref_den``), with its
 exact division checked.
 
-xgcd contract, identical across rings.  ``xgcd(a, b)`` returns
+xgcd contract, identical across rings.  The normal forms call no xgcd
+(they clear by remainder quotients); it serves ``generate._kernel_basis``,
+which keeps its own copy of the old xgcd elimination so that generated
+instances replay bit-for-bit.  ``xgcd(a, b)`` returns
 ``(g, s, t, u, v)`` with
 
     s*a + t*b == g,   a == g*u,   b == g*v,
@@ -66,13 +69,14 @@ a - q*p is smallest in size: balanced over the integers
 (|r| <= |p|/2, any nonzero p), the same q as ``pivot_reduce`` for
 polynomials, exact over the field.
 
-Shrinking by a unit.  ``primitive(entries)`` returns the entries times
-the nonzero constant that leaves them with integer coefficients of gcd
-one; it exists for the polynomials only (``None`` on the other rings).
-A column of polynomials scaled so stays a column of a unimodular
-transform, and its coefficients stay integers of least size.  The
-integers have no unit that shrinks an entry, and over the field the
-Hermite elimination clears each row in one pass, where this scaling
+Shrinking by a unit.  ``primitive(entries) == (unit, prim)`` with
+``entries == unit * prim`` (as ``canonicalize``), prim having integer
+coefficients of gcd one; it exists for the polynomials only (``None`` on
+the other rings).  A line of polynomials divided so stays a line of a
+unimodular transform, and its coefficients stay integers of least size;
+the unit is what the opposite transform of the Smith form takes on.
+The integers have no unit that shrinks an entry, and over the field
+the remainder loop clears each line in one pass, where this scaling
 only costs time.
 """
 
@@ -687,16 +691,16 @@ class PolynomialRing:
         return a.divmod(p)[0]
 
     def primitive(self, entries):
-        """c * entries for the constant c != 0 that leaves integer
-        coefficients of gcd one (entries, if all zero)."""
+        """(unit, prim) with entries == unit * prim, prim having integer
+        coefficients of gcd one ((one, entries) if all are zero)."""
         live = [e for e in entries if e.num]
         if not live:
-            return entries
+            return self.one, entries
         den = lcm(*(e.den for e in live))
         g = gcd(*(c * (den // e.den) for e in live for c in e.num))
         if den == 1 and g == 1:
-            return entries
-        return [_raw(tuple(c * (den // e.den) // g for c in e.num), 1) if e.num else e for e in entries]
+            return self.one, entries
+        return _poly((g,), den), [_raw(tuple(c * (den // e.den) // g for c in e.num), 1) if e.num else e for e in entries]
 
     def xgcd(self, a, b):
         zero = Poly()
