@@ -263,6 +263,16 @@ def test_smith_poly_cases():
     assert smith(c).diagonal() == (x,)
 
 
+def _full_scan(S, t, ring):
+    # the pivot search without the early stop at an entry of the size of one
+    best = where = None
+    for i in range(t, len(S)):
+        for j in range(t, len(S[i])):
+            if S[i][j] != ring.zero and (best is None or ring.size(S[i][j]) < best):
+                best, where = ring.size(S[i][j]), (i, j)
+    return where
+
+
 def _smith_inputs(ring_name, bound, sizes):
     xs = []
     for seed, (m, n) in enumerate(sizes):
@@ -283,10 +293,12 @@ def _smith_inputs(ring_name, bound, sizes):
     ],
 )
 def test_smith_shortcuts_leave_u_s_v_unchanged(monkeypatch, ring, bound, sizes):
-    # Smith skips the divisibility scan for a unit pivot; with that
-    # shortcut off, U, S and V must come out exactly the same.
+    # Smith stops its pivot search at an entry of the size of one and
+    # skips the divisibility scan for a unit pivot; with both shortcuts
+    # off, U, S and V must come out exactly the same.
     xs = _smith_inputs(ring.name, bound, sizes)
     fast = [smith(x) for x in xs]
+    monkeypatch.setattr(normal_forms, "_least_entry", _full_scan)
     monkeypatch.setattr(ring, "is_unit", lambda a: False)
     for x, got in zip(xs, fast):
         want = smith(x)
