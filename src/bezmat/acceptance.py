@@ -4,7 +4,9 @@ Each suite returns a SuiteResult whose `line` is a deterministic
 one-line summary (no timings — those go to stderr), so two runs with
 the same profile and base seed print byte-identical stdout.  Per-
 instance seeds are derived as  base_seed + criterion * 1_000_000 + i,
-so any failure message pinpoints a replayable GenConfig.
+so any failure message pinpoints a replayable GenConfig.  Criteria 2-7
+stream generated instances as cases through one runner, ``_suite``;
+criteria 1 and 8 are fixtures.
 
 Profiles:
   quick — reduced counts for a fast smoke run;
@@ -19,6 +21,7 @@ from __future__ import annotations
 import sys
 import time
 from collections import namedtuple
+from functools import partial
 
 from .errors import (
     BezmatError,
@@ -38,7 +41,7 @@ from .generate import (
     random_matrix,
 )
 from .ginverse import drazin, group_inverse
-from .matrix import Mat, det, inverse_over_ring
+from .matrix import Mat, det
 from .normal_forms import column_hermite, rank, row_hermite, smith
 from .rings import ZZ, get_ring
 from .similarity import VARIANTS, corollary_check, cline_verify, power_witness, similarity_witness, verify_witness
@@ -95,7 +98,6 @@ def criterion_1(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
     c = _mat([[1, -1], [0, 0]])
     p = _mat([[1, 1], [0, 1]])
     ok = verify_witness(a, b, c, p, mode="product")
-    hypothesis_report = None
     try:
         similarity_witness(a, b, c)
         pipeline_ok = False
@@ -103,7 +105,6 @@ def criterion_1(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
         pipeline_ok = (
             exc.lhs == _mat([[1, 0], [0, 0]]) and exc.rhs == _mat([[1, 2], [0, 0]])
         )
-        hypothesis_report = (exc.lhs.tolist(), exc.rhs.tolist())
     passed = bool(ok and pipeline_ok)
     detail = (
         f"witness accepted={ok}, hypothesis violation with computed products={pipeline_ok}"
@@ -111,92 +112,119 @@ def criterion_1(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
     return SuiteResult(1, "counterexample fixture", passed, 1, detail, time.perf_counter() - t0)
 
 
+# ----------------------------------------------------------------- suites
+
+
+def _suite(criterion: int, name: str, cases, summary: str) -> SuiteResult:
+    """Run one criterion's cases and summarise them in one line.
+
+    A case is ``(label, check, *args)``: ``check(*args)`` returns None
+    when the case passes, or else the reason it failed; a BezmatError
+    fails the case with its class name.  Every case runs.  The detail is
+    `summary` when all pass, else the first failure with its label.
+    """
+    t0 = time.perf_counter()
+    count = 0
+    first = None
+    for label, check, *args in cases:
+        count += 1
+        try:
+            reason = check(*args)
+        except BezmatError as exc:
+            reason = type(exc).__name__
+        if reason is not None and first is None:
+            first = f"{label}: {reason}"
+    detail = summary if first is None else f"first failure: {first}"
+    return SuiteResult(criterion, name, first is None, count, detail, time.perf_counter() - t0)
+
+
+def _conjugates(tr, wit) -> bool:
+    """W @ W^-1 == I and A@B == W @ (C@A) @ W^-1, checked afresh."""
+    ident = Mat.identity(tr.A.ring, tr.A.n)
+    return wit.W @ wit.Winv == ident and tr.A @ tr.B == wit.W @ (tr.C @ tr.A) @ wit.Winv
+
+
 # ------------------------------------------------------- criteria 2 and 3
 
 
-def _flanders_instances(base_seed: int, count: int):
+def _flanders_cases(base_seed: int, count: int, check):
     """Deterministic stream of integer triples, n <= 5, entries within
     [-9, 9], alternating the C == B and C != B regimes."""
     for i in range(count):
         n = 1 + i % 5
-        core = i % (n + 1)
         cfg = GenConfig(
-            ring="int", n=n, seed=_seed(base_seed, 2, i), entry_bound=9, core_rank=core
+            ring="int", n=n, seed=_seed(base_seed, 2, i), entry_bound=9, core_rank=i % (n + 1)
         )
-        yield cfg, (i % 2 == 0)
+        yield f"seed {cfg.seed}", check, cfg, i % 2 == 0
+
+
+def _witness_case(cfg: GenConfig, c_equals_b: bool):
+    try:
+        tr = gen_flanders_triple(cfg, c_equals_b)
+        wit = similarity_witness(tr.A, tr.B, tr.C)
+    except InternalAssertion:
+        return "internal assertion"
+    if not _conjugates(tr, wit):
+        return "witness identity failed"
+    return None
 
 
 def criterion_2(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
-    counts = counts or PROFILES["quick"]
-    total = counts["triples"]
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    internal = 0
-    done = 0
-    for cfg, ceb in _flanders_instances(base_seed, total):
-        try:
-            tr = gen_flanders_triple(cfg, ceb)
-            wit = similarity_witness(tr.A, tr.B, tr.C)
-        except InternalAssertion:
-            internal += 1
-            failures.append(f"seed {cfg.seed}: internal assertion")
-            continue
-        except BezmatError as exc:
-            failures.append(f"seed {cfg.seed}: {type(exc).__name__}")
-            continue
-        ident = Mat.identity(tr.A.ring, tr.A.n)
-        if wit.W @ wit.Winv != ident or tr.A @ tr.B != wit.W @ (tr.C @ tr.A) @ wit.Winv:
-            failures.append(f"seed {cfg.seed}: witness identity failed")
-            continue
-        done += 1
-    passed = not failures and internal == 0 and done == total
-    detail = (
-        f"exact W identities on {done}/{total}, internal assertions: {internal}"
-        if passed
-        else f"first failure: {failures[0]}"
-    )
-    return SuiteResult(2, "similarity witness suite", passed, total, detail, time.perf_counter() - t0)
+    total = (counts or PROFILES["quick"])["triples"]
+    summary = f"exact W identities on {total}/{total}, internal assertions: 0"
+    return _suite(2, "similarity witness suite", _flanders_cases(base_seed, total, _witness_case), summary)
+
+
+def _derived_case(cfg: GenConfig, c_equals_b: bool):
+    tr = gen_flanders_triple(cfg, c_equals_b)
+    wit = similarity_witness(tr.A, tr.B, tr.C)
+    for mode in ("ginv", "projector", "core"):
+        if not verify_witness(tr.A, tr.B, tr.C, wit.W, mode=mode):
+            return f"mode {mode} failed"
+    return None
 
 
 def criterion_3(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
     """On the same instance stream as criterion 2, the identical W must
     also transport group inverses, core projectors, and cores."""
-    counts = counts or PROFILES["quick"]
-    total = counts["triples"]
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    done = 0
-    for cfg, ceb in _flanders_instances(base_seed, total):
-        try:
-            tr = gen_flanders_triple(cfg, ceb)
-            wit = similarity_witness(tr.A, tr.B, tr.C)
-            for mode in ("ginv", "projector", "core"):
-                if not verify_witness(tr.A, tr.B, tr.C, wit.W, mode=mode):
-                    failures.append(f"seed {cfg.seed}: mode {mode} failed")
-                    break
-            else:
-                done += 1
-        except BezmatError as exc:
-            failures.append(f"seed {cfg.seed}: {type(exc).__name__}")
-    passed = not failures and done == total
-    detail = (
-        f"same-W conjugation of inverse/projector/core on {done}/{total}"
-        if passed
-        else f"first failure: {failures[0]}"
-    )
-    return SuiteResult(3, "derived conjugation suite", passed, total, detail, time.perf_counter() - t0)
+    total = (counts or PROFILES["quick"])["triples"]
+    summary = f"same-W conjugation of inverse/projector/core on {total}/{total}"
+    return _suite(3, "derived conjugation suite", _flanders_cases(base_seed, total, _derived_case), summary)
 
 
 # ------------------------------------------------------------- criterion 4
 
 
-def criterion_4(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
-    counts = counts or PROFILES["quick"]
-    total = counts["drazin"]
-    cline_total = counts["cline"]
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    done = 0
+def _power_case(cfg: GenConfig, k: int, c_equals_b: bool):
+    tr = gen_drazin_triple(cfg, k, c_equals_b=c_equals_b)
+    ab = tr.A @ tr.B
+    ca = tr.C @ tr.A
+    dr = drazin(ab)
+    if dr.index != k:
+        return f"index {dr.index} != {k}"
+    for s in (max(k, 1), k + 1, k + 2):
+        wit = power_witness(tr.A, tr.B, tr.C, s)
+        lhs = ab ** s
+        if lhs != wit.W @ (ca ** s) @ wit.Winv:
+            return f"power witness s={s} failed"
+        # proof identities at the matrix level
+        ds = dr.dinv ** s
+        if lhs @ ds != ab @ dr.dinv:
+            return f"power projector identity s={s}"
+        if group_inverse(lhs).ginv != ds:
+            return f"power group-inverse identity s={s}"
+    return None
+
+
+def _cline_case(make_triple):
+    tr = make_triple()
+    # the verdict includes index(C@A) <= index(A@B) + 1
+    if not cline_verify(tr.A, tr.B, tr.C):
+        return "exchange formula failed"
+    return None
+
+
+def _power_and_exchange_cases(base_seed: int, total: int, cline_total: int):
     for i in range(total):
         k = 1 + i % 3
         n = 3 + i % 3
@@ -206,156 +234,123 @@ def criterion_4(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
         cfg = GenConfig(
             ring="int", n=n, seed=_seed(base_seed, 4, i), entry_bound=9, core_rank=core
         )
-        try:
-            tr = gen_drazin_triple(cfg, k, c_equals_b=(i % 2 == 0))
-            ab = tr.A @ tr.B
-            dr = drazin(ab)
-            if dr.index != k:
-                failures.append(f"seed {cfg.seed}: index {dr.index} != {k}")
-                continue
-            ok = True
-            for s in (max(k, 1), k + 1, k + 2):
-                wit = power_witness(tr.A, tr.B, tr.C, s)
-                lhs = (tr.A @ tr.B) ** s
-                if lhs != wit.W @ ((tr.C @ tr.A) ** s) @ wit.Winv:
-                    failures.append(f"seed {cfg.seed}: power witness s={s} failed")
-                    ok = False
-                    break
-                # proof identities at the matrix level
-                ds = dr.dinv ** s
-                if lhs @ ds != ab @ dr.dinv:
-                    failures.append(f"seed {cfg.seed}: power projector identity s={s}")
-                    ok = False
-                    break
-                if group_inverse(lhs).ginv != ds:
-                    failures.append(f"seed {cfg.seed}: power group-inverse identity s={s}")
-                    ok = False
-                    break
-            if ok:
-                done += 1
-        except BezmatError as exc:
-            failures.append(f"seed {cfg.seed}: {type(exc).__name__}")
-    cline_done = 0
+        yield f"seed {cfg.seed}", _power_case, cfg, k, i % 2 == 0
     for i in range(cline_total):
-        use_drazin = i % 2 == 0
         sd = _seed(base_seed, 4, 500_000 + i)
-        try:
-            if use_drazin:
-                k = 1 + i % 3
-                n = 3 + i % 3
-                core = n - k
-                cfg = GenConfig(ring="int", n=n, seed=sd, entry_bound=9, core_rank=core)
-                tr = gen_drazin_triple(cfg, k, c_equals_b=(i % 4 < 2))
-            else:
-                n = 2 + i % 4
-                cfg = GenConfig(ring="int", n=n, seed=sd, entry_bound=9, core_rank=i % (n + 1))
-                tr = gen_flanders_triple(cfg, c_equals_b=(i % 4 < 2))
-            if not cline_verify(tr.A, tr.B, tr.C):
-                failures.append(f"seed {sd}: exchange formula failed")
-                continue
-            if drazin(tr.C @ tr.A).index > drazin(tr.A @ tr.B).index + 1:
-                failures.append(f"seed {sd}: index bound violated")
-                continue
-            cline_done += 1
-        except BezmatError as exc:
-            failures.append(f"seed {sd}: {type(exc).__name__}")
-    passed = not failures and done == total and cline_done == cline_total
-    detail = (
-        f"power witnesses s in {{k,k+1,k+2}} on {done}/{total}, exchange formula on {cline_done}/{cline_total}"
-        if passed
-        else f"first failure: {failures[0]}"
+        c_equals_b = i % 4 < 2
+        if i % 2 == 0:
+            k = 1 + i % 3
+            n = 3 + i % 3
+            cfg = GenConfig(ring="int", n=n, seed=sd, entry_bound=9, core_rank=n - k)
+            make = partial(gen_drazin_triple, cfg, k, c_equals_b=c_equals_b)
+        else:
+            n = 2 + i % 4
+            cfg = GenConfig(ring="int", n=n, seed=sd, entry_bound=9, core_rank=i % (n + 1))
+            make = partial(gen_flanders_triple, cfg, c_equals_b=c_equals_b)
+        yield f"seed {sd}", _cline_case, make
+
+
+def criterion_4(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
+    counts = counts or PROFILES["quick"]
+    total = counts["drazin"]
+    cline_total = counts["cline"]
+    summary = (
+        f"power witnesses s in {{k,k+1,k+2}} on {total}/{total}, "
+        f"exchange formula on {cline_total}/{cline_total}"
     )
-    return SuiteResult(4, "power witness suite", passed, total + cline_total, detail, time.perf_counter() - t0)
+    cases = _power_and_exchange_cases(base_seed, total, cline_total)
+    return _suite(4, "power witness suite", cases, summary)
 
 
 # ------------------------------------------------------------- criterion 5
 
 
-def _check_defining_equations(x: Mat, g: Mat, kind: str, k: int = 0) -> bool:
-    if kind == "group":
-        return x @ g == g @ x and g @ x @ g == g and x @ g @ x == x
-    kk = max(k, 0)
-    return (
-        x @ g == g @ x
-        and g @ x @ g == g
-        and (x ** (kk + 1)) @ g == x ** kk
-    )
+def _check_defining_equations(x: Mat, g: Mat, k: int) -> bool:
+    """X@G == G@X, G@X@G == G and X^(k+1)@G == X^k; k = 1 gives the
+    group equations, since X@G@X == X^2@G once X and G commute."""
+    return x @ g == g @ x and g @ x @ g == g and (x ** (k + 1)) @ g == x ** k
+
+
+def _oracle_case(x: Mat):
+    rep = fraction_field_oracle(x)
+    try:
+        rg = group_inverse(x).ginv
+    except NotGroupInvertible:
+        rg = None
+    if (rg is not None) != bool(rep.group_exists and rep.group_integral):
+        return "group existence disagrees"
+    if rg is not None:
+        if rg != rep.group_ring:
+            return "group value disagrees"
+        if not _check_defining_equations(x, rg, 1):
+            return "group equations"
+    try:
+        dr = drazin(x)
+    except NotDrazinInvertible:
+        dr = None
+    if (dr is not None) != rep.drazin_integral:
+        return "drazin existence disagrees"
+    if dr is not None:
+        if dr.index != rep.drazin_index or dr.dinv != rep.drazin_ring:
+            return "drazin value disagrees"
+        if not _check_defining_equations(x, dr.dinv, dr.index):
+            return "drazin equations"
+    return None
+
+
+_ORACLE_PLANS = (("int", 5, 9), ("polyrat", 4, 2))
+
+
+def _oracle_cases(base_seed: int, per_ring: int):
+    for ring_name, max_n, bound in _ORACLE_PLANS:
+        for i in range(per_ring):
+            sd = _seed(base_seed, 5, i if ring_name == "int" else 500_000 + i)
+            cfg = GenConfig(ring=ring_name, n=1 + i % max_n, seed=sd, entry_bound=bound, core_rank=0)
+            yield f"seed {sd} ({ring_name})", _oracle_case, random_matrix(cfg)
 
 
 def criterion_5(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
-    counts = counts or PROFILES["quick"]
-    per_ring = counts["oracle"]
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    done = 0
-    plans = (("int", 5, 9), ("polyrat", 4, 2))
-    for ring_name, max_n, bound in plans:
-        for i in range(per_ring):
-            sd = _seed(base_seed, 5, i if ring_name == "int" else 500_000 + i)
-            n = 1 + i % max_n
-            cfg = GenConfig(ring=ring_name, n=n, seed=sd, entry_bound=bound, core_rank=0)
-            x = random_matrix(cfg)
-            try:
-                rep = fraction_field_oracle(x)
-                try:
-                    rg = group_inverse(x).ginv
-                    ring_has_group = True
-                except NotGroupInvertible:
-                    rg = None
-                    ring_has_group = False
-                oracle_group = bool(rep.group_exists and rep.group_integral)
-                if ring_has_group != oracle_group:
-                    failures.append(f"seed {sd} ({ring_name}): group existence disagrees")
-                    continue
-                if ring_has_group:
-                    if rg != rep.group_ring:
-                        failures.append(f"seed {sd} ({ring_name}): group value disagrees")
-                        continue
-                    if not _check_defining_equations(x, rg, "group"):
-                        failures.append(f"seed {sd} ({ring_name}): group equations")
-                        continue
-                try:
-                    dr = drazin(x)
-                    ring_has_drazin = True
-                except NotDrazinInvertible:
-                    ring_has_drazin = False
-                if ring_has_drazin != rep.drazin_integral:
-                    failures.append(f"seed {sd} ({ring_name}): drazin existence disagrees")
-                    continue
-                if ring_has_drazin:
-                    if dr.index != rep.drazin_index or dr.dinv != rep.drazin_ring:
-                        failures.append(f"seed {sd} ({ring_name}): drazin value disagrees")
-                        continue
-                    if not _check_defining_equations(x, dr.dinv, "drazin", dr.index):
-                        failures.append(f"seed {sd} ({ring_name}): drazin equations")
-                        continue
-                done += 1
-            except BezmatError as exc:
-                failures.append(f"seed {sd} ({ring_name}): {type(exc).__name__}")
-    total = per_ring * len(plans)
-    passed = not failures and done == total
-    detail = (
-        f"ring/field agreement and exact defining equations on {done}/{total}"
-        if passed
-        else f"first failure: {failures[0]}"
-    )
-    return SuiteResult(5, "oracle agreement suite", passed, total, detail, time.perf_counter() - t0)
+    per_ring = (counts or PROFILES["quick"])["oracle"]
+    total = per_ring * len(_ORACLE_PLANS)
+    summary = f"ring/field agreement and exact defining equations on {total}/{total}"
+    return _suite(5, "oracle agreement suite", _oracle_cases(base_seed, per_ring), summary)
 
 
 # ------------------------------------------------------------- criterion 6
 
 
-def criterion_6(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
-    counts = counts or PROFILES["quick"]
-    per_ring = counts["normal"]
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    done = 0
-    plans = (("int", 5, 9), ("rat", 4, 9), ("polyrat", 3, 2))
-    for ring_name, max_n, bound in plans:
+def _normal_form_case(x: Mat):
+    ring = x.ring
+    hr = column_hermite(x)
+    if x @ hr.T != hr.H:
+        return "transform identity"
+    if not ring.is_unit(det(hr.T)):
+        return "T not unimodular"
+    if column_hermite(hr.H).H != hr.H:
+        return "HNF not idempotent"
+    sr = smith(x)
+    if sr.U @ sr.S @ sr.V != x:
+        return "Smith reconstruction"
+    if not (ring.is_unit(det(sr.U)) and ring.is_unit(det(sr.V))):
+        return "U/V not unimodular"
+    diag = sr.diagonal()
+    if any(not ring.divides(diag[j], diag[j + 1]) for j in range(len(diag) - 1)):
+        return "divisibility chain"
+    if not (len(hr.pivot_rows) == len(row_hermite(x).pivot_cols) == len(diag)):
+        return "rank notions disagree"
+    if x.is_zero() and rank(x) != 0:
+        return "rank(0) != 0"
+    return None
+
+
+_NORMAL_PLANS = (("int", 5, 9, 0), ("rat", 4, 9, 400_000), ("polyrat", 3, 2, 800_000))
+
+
+def _normal_form_cases(base_seed: int, per_ring: int):
+    for ring_name, max_n, bound, offset in _NORMAL_PLANS:
         ring = get_ring(ring_name)
         for i in range(per_ring):
-            sd = _seed(base_seed, 6, {"int": 0, "rat": 400_000, "polyrat": 800_000}[ring_name] + i)
+            sd = _seed(base_seed, 6, offset + i)
             m = 1 + i % max_n
             n = 1 + (i // max_n) % max_n
             if i % 97 == 0:
@@ -363,107 +358,62 @@ def criterion_6(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
             else:
                 cfg = GenConfig(ring=ring_name, n=n, seed=sd, entry_bound=bound, core_rank=0)
                 x = random_matrix(cfg, m=m, n=n)
-            try:
-                hr = column_hermite(x)
-                if x @ hr.T != hr.H:
-                    failures.append(f"seed {sd} ({ring_name}): transform identity")
-                    continue
-                if not ring.is_unit(det(hr.T)):
-                    failures.append(f"seed {sd} ({ring_name}): T not unimodular")
-                    continue
-                if column_hermite(hr.H).H != hr.H:
-                    failures.append(f"seed {sd} ({ring_name}): HNF not idempotent")
-                    continue
-                sr = smith(x)
-                if sr.U @ sr.S @ sr.V != x:
-                    failures.append(f"seed {sd} ({ring_name}): Smith reconstruction")
-                    continue
-                if not (ring.is_unit(det(sr.U)) and ring.is_unit(det(sr.V))):
-                    failures.append(f"seed {sd} ({ring_name}): U/V not unimodular")
-                    continue
-                diag = sr.diagonal()
-                if any(not ring.divides(diag[j], diag[j + 1]) for j in range(len(diag) - 1)):
-                    failures.append(f"seed {sd} ({ring_name}): divisibility chain")
-                    continue
-                col_rank = len(hr.pivot_rows)
-                row_rank = len(row_hermite(x).pivot_cols)
-                smith_rank = len(diag)
-                if not (col_rank == row_rank == smith_rank):
-                    failures.append(f"seed {sd} ({ring_name}): rank notions disagree")
-                    continue
-                if x.is_zero() and rank(x) != 0:
-                    failures.append(f"seed {sd} ({ring_name}): rank(0) != 0")
-                    continue
-                done += 1
-            except BezmatError as exc:
-                failures.append(f"seed {sd} ({ring_name}): {type(exc).__name__}")
-    total = per_ring * len(plans)
-    passed = not failures and done == total
-    detail = (
-        f"transform/unimodularity/divisibility/rank invariants on {done}/{total}"
-        if passed
-        else f"first failure: {failures[0]}"
-    )
-    return SuiteResult(6, "normal form suite", passed, total, detail, time.perf_counter() - t0)
+            yield f"seed {sd} ({ring_name})", _normal_form_case, x
+
+
+def criterion_6(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
+    per_ring = (counts or PROFILES["quick"])["normal"]
+    total = per_ring * len(_NORMAL_PLANS)
+    summary = f"transform/unimodularity/divisibility/rank invariants on {total}/{total}"
+    return _suite(6, "normal form suite", _normal_form_cases(base_seed, per_ring), summary)
 
 
 # ------------------------------------------------------------- criterion 7
 
 
-def criterion_7(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
-    counts = counts or PROFILES["quick"]
-    per_variant = counts["corollary"]
-    false_per_variant = max(8, per_variant // 4)
-    t0 = time.perf_counter()
-    failures: list[str] = []
-    done = 0
+def _corollary_true_case(cfg: GenConfig, variant: str, c_equals_b: bool):
+    tr = gen_corollary_true(cfg, c_equals_b=c_equals_b)
+    report, wit = corollary_check(tr.A, tr.B, tr.C, variant)
+    if not all(ok for _, ok in report.variant_conditions):
+        return "engineered-true condition failed"
+    if not (report.ab_group_invertible and report.ca_group_invertible):
+        return "group invertibility not confirmed"
+    if not _conjugates(tr, wit):
+        return "witness identity failed"
+    return None
+
+
+def _corollary_false_case(cfg: GenConfig, variant: str):
+    a, b, c, expected = gen_corollary_false(cfg, variant)
+    try:
+        corollary_check(a, b, c, variant)
+    except ConditionNotMet as exc:
+        if exc.failed != expected:
+            return f"failed {exc.failed} != expected {expected}"
+        return None
+    return "expected ConditionNotMet"
+
+
+def _corollary_cases(base_seed: int, per_variant: int, false_per_variant: int):
     for vi, variant in enumerate(VARIANTS):
         for i in range(per_variant):
             sd = _seed(base_seed, 7, vi * 200_000 + i)
             n = 2 + i % 3
             cfg = GenConfig(ring="int", n=n, seed=sd, entry_bound=9, core_rank=i % (n + 1))
-            try:
-                tr = gen_corollary_true(cfg, c_equals_b=(i % 2 == 0))
-                report, wit = corollary_check(tr.A, tr.B, tr.C, variant)
-                if not all(ok for _, ok in report.variant_conditions):
-                    failures.append(f"seed {sd} ({variant}): engineered-true condition failed")
-                    continue
-                if not (report.ab_group_invertible and report.ca_group_invertible):
-                    failures.append(f"seed {sd} ({variant}): group invertibility not confirmed")
-                    continue
-                ident = Mat.identity(tr.A.ring, tr.A.n)
-                if wit.W @ wit.Winv != ident or tr.A @ tr.B != wit.W @ (tr.C @ tr.A) @ wit.Winv:
-                    failures.append(f"seed {sd} ({variant}): witness identity failed")
-                    continue
-                done += 1
-            except BezmatError as exc:
-                failures.append(f"seed {sd} ({variant}): {type(exc).__name__}")
+            yield f"seed {sd} ({variant})", _corollary_true_case, cfg, variant, i % 2 == 0
         for i in range(false_per_variant):
             sd = _seed(base_seed, 7, vi * 200_000 + 100_000 + i)
             cfg = GenConfig(ring="int", n=2 + i % 3, seed=sd, entry_bound=5, core_rank=1)
-            try:
-                a, b, c, expected = gen_corollary_false(cfg, variant)
-                try:
-                    corollary_check(a, b, c, variant)
-                    failures.append(f"seed {sd} ({variant}): expected ConditionNotMet")
-                    continue
-                except ConditionNotMet as exc:
-                    if exc.failed != expected:
-                        failures.append(
-                            f"seed {sd} ({variant}): failed {exc.failed} != expected {expected}"
-                        )
-                        continue
-                done += 1
-            except BezmatError as exc:
-                failures.append(f"seed {sd} ({variant}): {type(exc).__name__}")
+            yield f"seed {sd} ({variant})", _corollary_false_case, cfg, variant
+
+
+def criterion_7(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
+    per_variant = (counts or PROFILES["quick"])["corollary"]
+    false_per_variant = max(8, per_variant // 4)
     total = (per_variant + false_per_variant) * len(VARIANTS)
-    passed = not failures and done == total
-    detail = (
-        f"engineered-true witnessed and engineered-false named exactly on {done}/{total}"
-        if passed
-        else f"first failure: {failures[0]}"
-    )
-    return SuiteResult(7, "corollary checker suite", passed, total, detail, time.perf_counter() - t0)
+    summary = f"engineered-true witnessed and engineered-false named exactly on {total}/{total}"
+    cases = _corollary_cases(base_seed, per_variant, false_per_variant)
+    return _suite(7, "corollary checker suite", cases, summary)
 
 
 # ------------------------------------------------------------- criterion 8

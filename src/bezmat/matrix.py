@@ -261,9 +261,7 @@ class Mat:
         return Mat.identity(self.ring, self.n) if result is None else result
 
     def __repr__(self):
-        body = "; ".join(
-            " ".join(self.ring.pretty(x) for x in row) for row in self.rows
-        )
+        body = "; ".join(" ".join(map(str, row)) for row in self.rows)
         return f"Mat<{self.ring.name} {self.m}x{self.n}: {body}>"
 
 
@@ -390,7 +388,7 @@ def _inverse_over_ring(a: Mat) -> Mat:
     d = ring.from_image(_bareiss(work, jordan=True), prod(dens), w)
     if not ring.is_unit(d):
         raise NotInvertibleOverRing(
-            f"determinant {ring.pretty(d)} is not a unit of {ring.name}", det=d
+            f"determinant {d} is not a unit of {ring.name}", det=d
         )
     if n == 0:
         return a
@@ -399,25 +397,3 @@ def _inverse_over_ring(a: Mat) -> Mat:
     last = work[n - 1][n - 1]
     read = ring.from_image
     return Mat._raw(ring, n, n, tuple(tuple(read(x, last, w) for x in row[n:]) for row in work))
-
-
-def solve_in_column_module(a: Mat, b: Mat) -> Mat:
-    """Solve a @ X == b over the ring, or raise NoSolution.
-
-    Works through the column Hermite form a @ T == H: echelon
-    substitution against the nonzero columns of H, then T maps the
-    solution back.  NoSolution means b is outside the column module of
-    a over the ring (the fraction-field system may still be solvable
-    with non-ring entries).
-    """
-    from . import normal_forms
-
-    a._same_ring(b)
-    if a.m != b.m:
-        raise DimensionMismatch(f"solve: {a.shape} vs {b.shape}")
-    hr = normal_forms.column_hermite(a)
-    y = normal_forms._echelon_solve(hr, b)
-    x = hr.T.submatrix(0, a.n, 0, y.m) @ y
-    if a @ x != b:
-        raise InternalAssertion("solver produced a non-solution")
-    return x

@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InternalAssertion, NoSolution
+from .errors import DimensionMismatch, InternalAssertion, NoSolution
 from .matrix import Mat
 
 HermiteResult = namedtuple("HermiteResult", "H T pivot_rows")
@@ -342,6 +342,26 @@ def _echelon_solve(hr: HermiteResult, b: Mat) -> Mat:
     return Mat._raw(ring, r, b.n, tuple(tuple(y[i] for y in ys) for i in range(r)))
 
 
+def solve_in_column_module(a: Mat, b: Mat) -> Mat:
+    """Solve a @ X == b over the ring, or raise NoSolution.
+
+    Works through the column Hermite form a @ T == H: echelon
+    substitution against the nonzero columns of H, then T maps the
+    solution back.  NoSolution means b is outside the column module of
+    a over the ring (the fraction-field system may still be solvable
+    with non-ring entries).
+    """
+    a._same_ring(b)
+    if a.m != b.m:
+        raise DimensionMismatch(f"solve: {a.shape} vs {b.shape}")
+    hr = column_hermite(a)
+    y = _echelon_solve(hr, b)
+    x = hr.T.submatrix(0, a.n, 0, y.m) @ y
+    if a @ x != b:
+        raise InternalAssertion("solver produced a non-solution")
+    return x
+
+
 def rank_factorization(a: Mat) -> RankFactorization:
     """A == L @ Rt with L of full column rank r and Rt of full row rank r.
 
@@ -386,8 +406,6 @@ def col_module_equal(a: Mat, b: Mat) -> bool:
 
 def col_module_contains(a: Mat, b: Mat) -> bool:
     """Does the column module of a contain every column of b?"""
-    from .matrix import solve_in_column_module
-
     try:
         solve_in_column_module(a, b)
         return True

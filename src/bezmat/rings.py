@@ -50,7 +50,7 @@ instances replay bit-for-bit.  ``xgcd(a, b)`` returns
     det [[s, t], [-v, u]] == s*u + t*v == 1,
 
 so [[s, t], [-v, u]] is the unimodular 2x2 transform sending the column
-(a, b) to (g, 0).  xgcd(0, 0) returns all zeros and gcd(0, 0) == 0.
+(a, b) to (g, 0).  xgcd(0, 0) returns all zeros.
 The Bezout coefficient s is size-reduced: balanced modulo b/g over the
 integers, degree-reduced modulo b/g for polynomials.
 
@@ -420,9 +420,6 @@ class IntegerRing:
             raise FormatError(f"not an integer element: {x!r}")
         return x
 
-    def is_zero(self, a) -> bool:
-        return a == 0
-
     def is_unit(self, a) -> bool:
         return a == 1 or a == -1
 
@@ -498,9 +495,6 @@ class IntegerRing:
         v = b // g
         return g, bs, bt, u, v
 
-    def gcd(self, a, b):
-        return self.xgcd(a, b)[0]
-
     def parse_entry(self, obj):
         if isinstance(obj, bool):
             raise FormatError(f"bad integer entry: {obj!r}")
@@ -515,9 +509,6 @@ class IntegerRing:
         raise FormatError(f"bad integer entry: {obj!r}")
 
     def format_entry(self, a):
-        return str(a)
-
-    def pretty(self, a) -> str:
         return str(a)
 
 
@@ -537,9 +528,6 @@ class RationalField:
         if isinstance(x, Fraction):
             return x
         raise FormatError(f"not a rational element: {x!r}")
-
-    def is_zero(self, a) -> bool:
-        return a == 0
 
     def is_unit(self, a) -> bool:
         return a != 0
@@ -591,16 +579,10 @@ class RationalField:
             return one, 1 / a, zero, a, b
         return one, zero, 1 / b, zero, b
 
-    def gcd(self, a, b):
-        return self.xgcd(a, b)[0]
-
     def parse_entry(self, obj):
         return _parse_rational(obj)
 
     def format_entry(self, a):
-        return _format_ratio(a.numerator, a.denominator)
-
-    def pretty(self, a) -> str:
         return _format_ratio(a.numerator, a.denominator)
 
 
@@ -619,9 +601,6 @@ class PolynomialRing:
         if isinstance(x, (int, Fraction)):
             return Poly._coerce(x)
         raise FormatError(f"not a polynomial element: {x!r}")
-
-    def is_zero(self, a) -> bool:
-        return a.is_zero()
 
     def is_unit(self, a) -> bool:
         return a.degree == 0
@@ -730,9 +709,6 @@ class PolynomialRing:
         v = self.exact_div(b, g)
         return g, bs, bt, u, v
 
-    def gcd(self, a, b):
-        return self.xgcd(a, b)[0]
-
     def parse_entry(self, obj):
         if not isinstance(obj, (list, tuple)):
             raise FormatError(
@@ -742,9 +718,6 @@ class PolynomialRing:
 
     def format_entry(self, a):
         return [_format_ratio(n, a.den) for n in a.num]
-
-    def pretty(self, a) -> str:
-        return str(a)
 
 
 ZZ = IntegerRing()

@@ -49,11 +49,11 @@ from .errors import (
     HypothesisViolated,
     IndexTooSmall,
     InternalAssertion,
-    NotGroupInvertible,
     NotDrazinInvertible,
     NotSquare,
 )
 from .ginverse import _group_inverse_attempt, drazin, group_inverse
+from .io import matrix_to_doc
 from .matrix import Mat, inverse_over_ring
 from .normal_forms import _rank_factorization, col_module_equal
 
@@ -118,8 +118,6 @@ def check_hypotheses(a: Mat, b: Mat, c: Mat) -> HypothesisReport:
 
 
 def _instance_dump(a: Mat, b: Mat, c: Mat, stage: str):
-    from .io import matrix_to_doc
-
     return {
         "stage": stage,
         "A": matrix_to_doc(a),

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bezmat import solve_in_column_module
 from bezmat.errors import (
     DimensionMismatch,
     FormatError,
@@ -22,7 +23,6 @@ from bezmat.matrix import (
     det,
     hstack,
     inverse_over_ring,
-    solve_in_column_module,
     split_blocks,
     vstack,
 )

@@ -32,8 +32,8 @@ def test_get_ring_names():
 
 @pytest.mark.parametrize("ring", [ZZ, QQ, QQX], ids=lambda r: r.name)
 def test_zero_one_units(ring):
-    assert ring.is_zero(ring.zero)
-    assert not ring.is_zero(ring.one)
+    assert ring.zero == 0
+    assert ring.one != ring.zero
     assert ring.is_unit(ring.one)
     assert not ring.is_unit(ring.zero)
 
@@ -42,8 +42,8 @@ def _check_xgcd_contract(ring, a, b):
     g, s, t, u, v = ring.xgcd(a, b)
     # the five-term contract used throughout the elimination code
     assert s * a + t * b == g
-    if ring.is_zero(a) and ring.is_zero(b):
-        assert ring.is_zero(g)
+    if a == ring.zero and b == ring.zero:
+        assert g == ring.zero
         return
     assert g * u == a
     assert g * v == b
@@ -78,7 +78,7 @@ def test_poly_xgcd_with_planted_common_factor(a, b, f):
     # the gcd of (a*f, b*f) must be divisible by f
     if f.is_zero():
         return
-    g = QQX.gcd(a * f, b * f)
+    g = QQX.xgcd(a * f, b * f)[0]
     if not (a.is_zero() and b.is_zero()):
         assert QQX.divides(f, g)
     _check_xgcd_contract(QQX, a * f, b * f)
