@@ -10,6 +10,14 @@ language.  The full algorithm, so it can be reimplemented elsewhere:
     z <- (z XOR (z >> 27)) * 0x94D049BB133111EB  mod 2^64
     output: z XOR (z >> 31)
 
+``SplitMix64.ints(count, lo, hi)`` draws in one loop the same stream,
+leaving the same state, as ``count`` calls of ``int_in(lo, hi)``.
+
+Unimodular factors carry their inverses: each elementary step on the
+rows of H is applied inverted to the columns of H^-1 (row i += c * row
+j becomes col j -= c * col i; a swap or a sign flip repeats on the same
+columns), and the pair is checked by H @ H^-1 == I == H^-1 @ H.
+
 Instance families:
 
   * gen_group_invertible —  X = H @ diag(M, 0) @ H^-1 with H unimodular
@@ -51,28 +59,27 @@ from fractions import Fraction
 
 from .errors import GenerationExhausted, InternalAssertion, NotDrazinInvertible
 from .ginverse import drazin, is_group_invertible
-from .matrix import Mat, block_diag, inverse_over_ring
+from .matrix import Mat, block_diag
 from .rings import Poly, get_ring
 
 _RETRY_BUDGET = 64
+
+_GAMMA = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+_MASK = (1 << 64) - 1
 
 
 class SplitMix64:
     """Deterministic 64-bit generator (constants above)."""
 
-    _GAMMA = 0x9E3779B97F4A7C15
-    _MIX1 = 0xBF58476D1CE4E5B9
-    _MIX2 = 0x94D049BB133111EB
-    _MASK = (1 << 64) - 1
-
     def __init__(self, seed: int):
-        self.state = seed & self._MASK
+        self.state = seed & _MASK
 
     def next_u64(self) -> int:
-        self.state = (self.state + self._GAMMA) & self._MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * self._MIX1) & self._MASK
-        z = ((z ^ (z >> 27)) * self._MIX2) & self._MASK
+        z = self.state = (self.state + _GAMMA) & _MASK
+        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
+        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
         return z ^ (z >> 31)
 
     def below(self, n: int) -> int:
@@ -80,7 +87,19 @@ class SplitMix64:
         return self.next_u64() % n
 
     def int_in(self, lo: int, hi: int) -> int:
-        return lo + self.below(hi - lo + 1)
+        return lo + self.next_u64() % (hi - lo + 1)
+
+    def ints(self, count: int, lo: int, hi: int) -> list:
+        """[int_in(lo, hi) for _ in range(count)], leaving the same state."""
+        span, s, gamma, mix1, mix2, mask = hi - lo + 1, self.state, _GAMMA, _MIX1, _MIX2, _MASK
+        out = []
+        for _ in range(count):
+            s = (s + gamma) & mask
+            z = ((s ^ (s >> 30)) * mix1) & mask
+            z = ((z ^ (z >> 27)) * mix2) & mask
+            out.append(lo + (z ^ (z >> 31)) % span)
+        self.state = s
+        return out
 
     def choice(self, seq):
         return seq[self.below(len(seq))]
@@ -129,16 +148,12 @@ class GeneratedTriple:
 
 
 def _rand_element(ring, rng: SplitMix64, bound: int):
-    if ring.name == "int":
-        return rng.int_in(-bound, bound)
     if ring.name == "rat":
         num = rng.int_in(-bound, bound)
         den = rng.int_in(1, max(bound, 1))
         return Fraction(num, den)
     # polyrat: degree <= bound, integer coefficients in [-bound, bound]
-    deg = rng.below(bound + 1)
-    coeffs = [rng.int_in(-bound, bound) for _ in range(deg + 1)]
-    return Poly(coeffs)
+    return Poly(rng.ints(rng.below(bound + 1) + 1, -bound, bound))
 
 
 def random_matrix(cfg: GenConfig, m: int | None = None, n: int | None = None) -> Mat:
@@ -149,64 +164,67 @@ def random_matrix(cfg: GenConfig, m: int | None = None, n: int | None = None) ->
 
 
 def _random_matrix(ring, rng, m, n, bound) -> Mat:
-    return Mat.from_rows(
-        ring, [[_rand_element(ring, rng, bound) for _ in range(n)] for _ in range(m)]
-    )
+    """m x n entries drawn row by row; the draws are already ring payloads."""
+    if ring.name == "int":
+        flat = rng.ints(m * n, -bound, bound)
+        rows = tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(m))
+    else:
+        rows = tuple(tuple(_rand_element(ring, rng, bound) for _ in range(n)) for _ in range(m))
+    return Mat._raw(ring, m, n, rows)
 
 
 def _shear_coefficient(ring, rng):
     """Small nonzero multiplier for elementary row/column operations,
     kept tiny so unimodular factors do not blow up entry sizes."""
-    if ring.name == "int":
-        return rng.choice([-2, -1, 1, 2])
-    if ring.name == "rat":
-        return Fraction(rng.choice([-2, -1, 1, 2]))
+    if ring.name != "polyrat":
+        return ring.coerce(rng.choice((-2, -1, 1, 2)))
     c0 = rng.int_in(-1, 1)
-    c1 = rng.choice([-1, 1]) if rng.below(2) else 0
-    p = Poly([c0, c1])
-    if p.is_zero():
-        p = Poly([1])
-    return p
+    c1 = rng.choice((-1, 1)) if rng.below(2) else 0
+    p = Poly((c0, c1))
+    return ring.one if p.is_zero() else p
 
 
-def _random_unimodular(ring, rng, n: int) -> Mat:
-    """Product of elementary factors: shears, swaps, sign flips."""
-    if n == 0:
-        return Mat.identity(ring, 0)
-    rows = [[ring.one if i == j else ring.zero for j in range(n)] for i in range(n)]
-    steps = n + rng.below(n + 3)
+def _random_unimodular(ring, rng, n: int):
+    """(H, H^-1) for H a product of elementary factors: shears, swaps,
+    sign flips, each step carried inverted onto the columns of H^-1."""
+    ident = Mat.identity(ring, n)
+    rows = [list(r) for r in ident.rows]
+    cols = [list(r) for r in ident.rows]
+    steps = n + rng.below(n + 3) if n else 0
     for _ in range(steps):
         kind = rng.below(4)
-        if kind < 2 and n >= 2:  # row shear
-            i = rng.below(n)
-            j = rng.below(n - 1)
-            if j >= i:
-                j += 1
+        i = rng.below(n)
+        if kind == 3 or n < 2:  # negate row i; negate col i
+            rows[i] = [-x for x in rows[i]]
+            cols[i] = [-x for x in cols[i]]
+            continue
+        j = rng.below(n - 1)
+        if j >= i:
+            j += 1
+        if kind < 2:  # row i += c * row j; col j -= c * col i
             c = _shear_coefficient(ring, rng)
             rows[i] = [x + c * y for x, y in zip(rows[i], rows[j])]
-        elif kind == 2 and n >= 2:  # swap
-            i = rng.below(n)
-            j = rng.below(n - 1)
-            if j >= i:
-                j += 1
+            cols[j] = [x - c * y for x, y in zip(cols[j], cols[i])]
+        else:  # swap rows i, j; swap cols i, j
             rows[i], rows[j] = rows[j], rows[i]
-        else:  # sign flip
-            i = rng.below(n)
-            rows[i] = [-x for x in rows[i]]
-    return Mat.from_rows(ring, rows)
+            cols[i], cols[j] = cols[j], cols[i]
+    h = Mat._raw(ring, n, n, tuple(map(tuple, rows)))
+    hinv = Mat._raw(ring, n, n, tuple(zip(*cols)))
+    if h @ hinv != ident or hinv @ h != ident:
+        raise InternalAssertion("carried unimodular inverse failed verification")
+    return h, hinv
 
 
 def random_unimodular(cfg: GenConfig, n: int | None = None) -> Mat:
     ring = get_ring(cfg.ring)
     rng = SplitMix64(cfg.seed)
-    return _random_unimodular(ring, rng, n if n is not None else cfg.n)
+    return _random_unimodular(ring, rng, n if n is not None else cfg.n)[0]
 
 
 def _core_form(ring, rng, n: int, r: int):
     """(H, Hinv, D=diag(M, 0), M) with H unimodular and M unimodular r x r."""
-    h = _random_unimodular(ring, rng, n)
-    hinv = inverse_over_ring(h)
-    m_core = _random_unimodular(ring, rng, r)
+    h, hinv = _random_unimodular(ring, rng, n)
+    m_core, _ = _random_unimodular(ring, rng, r)
     d = block_diag(m_core, Mat.zeros(ring, n - r, n - r))
     return h, hinv, d, m_core
 
@@ -328,12 +346,10 @@ def gen_drazin_triple(cfg: GenConfig, k: int, c_equals_b: bool) -> GeneratedTrip
     if m < k:
         raise ValueError("need n - core_rank >= k for a chain of index k")
     for retries in range(_RETRY_BUDGET):
-        h1 = _random_unimodular(ring, rng, n)
-        h1inv = inverse_over_ring(h1)
-        h2 = _random_unimodular(ring, rng, n)
-        h2inv = inverse_over_ring(h2)
-        ma = _random_unimodular(ring, rng, r)
-        mb = _random_unimodular(ring, rng, r)
+        h1, h1inv = _random_unimodular(ring, rng, n)
+        h2, h2inv = _random_unimodular(ring, rng, n)
+        ma, _ = _random_unimodular(ring, rng, r)
+        mb, _ = _random_unimodular(ring, rng, r)
         chain = _nilpotent_chain(ring, m, k)
         a = h1 @ block_diag(ma, chain) @ h2
         b = h2inv @ block_diag(mb, Mat.identity(ring, m)) @ h1inv
@@ -426,6 +442,5 @@ def gen_corollary_false(cfg: GenConfig, variant: str):
     base_a = block_diag(Mat.from_rows(ring, a0), Mat.identity(ring, n - 2))
     base_b = block_diag(Mat.from_rows(ring, b0), Mat.identity(ring, n - 2))
     base_c = block_diag(Mat.from_rows(ring, c0), Mat.identity(ring, n - 2))
-    p = _random_unimodular(ring, rng, n)
-    pinv = inverse_over_ring(p)
+    p, pinv = _random_unimodular(ring, rng, n)
     return (p @ base_a @ pinv, p @ base_b @ pinv, p @ base_c @ pinv, failed)

@@ -5,6 +5,9 @@ vector for seed 0 (first three 64-bit outputs), so any reimplementation
 of the generator can be validated against the same constants.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from bezmat.errors import ConditionNotMet, InternalAssertion
@@ -13,6 +16,7 @@ from bezmat.generate import (
     GeneratedTriple,
     SplitMix64,
     _kernel_basis,
+    _random_unimodular,
     gen_corollary_false,
     gen_corollary_true,
     gen_drazin_triple,
@@ -22,7 +26,8 @@ from bezmat.generate import (
     random_unimodular,
 )
 from bezmat.ginverse import drazin, is_group_invertible
-from bezmat.matrix import Mat, det
+from bezmat.io import matrix_to_doc
+from bezmat.matrix import Mat, det, inverse_over_ring
 from bezmat.normal_forms import rank, right_kernel_basis
 from bezmat.rings import get_ring
 from bezmat.similarity import VARIANTS, corollary_check
@@ -46,6 +51,14 @@ def test_splitmix64_helpers_in_range():
 def test_splitmix64_seed_masking():
     # seeds are reduced mod 2^64; equal residues give equal streams
     assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
+
+
+@pytest.mark.parametrize("count", [0, 1, 2, 50])
+@pytest.mark.parametrize("lo, hi", [(-9, 9), (1, 1), (0, 1 << 70)])
+def test_splitmix64_ints_is_repeated_int_in(count, lo, hi):
+    batched, single = SplitMix64(2024), SplitMix64(2024)
+    assert batched.ints(count, lo, hi) == [single.int_in(lo, hi) for _ in range(count)]
+    assert batched.state == single.state
 
 
 @pytest.mark.parametrize("ring_name", ["int", "rat", "polyrat"])
@@ -73,12 +86,30 @@ def test_random_matrix_rectangular():
 
 
 @pytest.mark.parametrize("ring_name", ["int", "rat", "polyrat"])
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0), (0, 0)])
+def test_random_matrix_zero_sized_shapes(ring_name, shape):
+    a = random_matrix(GenConfig(ring=ring_name, n=3, seed=1), m=shape[0], n=shape[1])
+    assert a.shape == shape
+    assert a.rows == ((),) * shape[0]
+
+
+@pytest.mark.parametrize("ring_name", ["int", "rat", "polyrat"])
 def test_random_unimodular_has_unit_determinant(ring_name):
     ring = get_ring(ring_name)
     bound = 3 if ring_name != "polyrat" else 2
     for seed in range(5):
         u = random_unimodular(GenConfig(ring=ring_name, n=3, seed=seed, entry_bound=bound))
         assert ring.is_unit(det(u))
+
+
+@pytest.mark.parametrize("ring_name", ["int", "rat", "polyrat"])
+@pytest.mark.parametrize("n", [0, 1, 2, 5])
+def test_random_unimodular_carries_its_inverse(ring_name, n):
+    ring = get_ring(ring_name)
+    for seed in range(4):
+        h, hinv = _random_unimodular(ring, SplitMix64(seed), n)
+        assert h.shape == hinv.shape == (n, n)
+        assert hinv == inverse_over_ring(h)
 
 
 def test_gen_group_invertible_rank_and_property():
@@ -144,6 +175,14 @@ def test_generator_self_checks_survive_optimized_mode(monkeypatch):
 
     cfg = GenConfig(ring="int", n=4, seed=1, core_rank=1, entry_bound=4)
     with monkeypatch.context() as m:
+        # every product off by e_00, as H @ H^-1 is for a wrong carried inverse
+        matmul = Mat.__matmul__
+        m.setattr(Mat, "__matmul__", lambda a, b: matmul(a, b) + Mat.diagonal(a.ring, [1], a.m, b.n))
+        with pytest.raises(InternalAssertion, match="carried unimodular inverse"):
+            random_unimodular(cfg)
+        with pytest.raises(InternalAssertion, match="carried unimodular inverse"):
+            gen_drazin_triple(cfg, 2, c_equals_b=False)
+    with monkeypatch.context() as m:
         m.setattr(generate, "drazin", lambda x: DrazinResult(index=5, dinv=x))
         with pytest.raises(InternalAssertion, match="ind"):
             gen_drazin_triple(cfg, 2, c_equals_b=False)
@@ -197,3 +236,71 @@ def test_gen_corollary_false_argument_validation():
 def test_gen_config_round_trip_dict():
     cfg = GenConfig(ring="polyrat", n=4, seed=9, entry_bound=2, core_rank=2)
     assert GenConfig(**cfg.to_dict()) == cfg
+
+
+# sha256 of the matrix_to_doc JSON of one instance per family and ring,
+# recorded before the batched draws and carried inverses went in: any
+# change to the stream, the draw order or the constructions shows here.
+REPLAY_DIGESTS = {
+    ('int', 'random_matrix'): '95c27daa6e55185f7e9f6d12ce8c85a351c25868ec5afbc2121d159149f4e6b4',
+    ('int', 'random_matrix 2x5'): 'bcb4de0bcc3477d1c48323268db1cff3bff3de0734faa447713b00381929c766',
+    ('int', 'random_unimodular'): '3d9d23b460f528b862491b32bdc9faee379fdfbf872e57d5e0c4657960778a8f',
+    ('int', 'gen_group_invertible'): 'c2c99d78b502752adcf91b04b200a764daf6f65b892f264fc75f89b76d7f5e5b',
+    ('int', 'gen_flanders_triple c_equals_b=True'): '0cc9071a042c161804a1dfa5f1b7bdf07ba7e7a336dd8c75518d0c21d0d88d25',
+    ('int', 'gen_flanders_triple c_equals_b=False'): '12ce638cd3f189ee5ca41605d1fa7b44d7dd5d6b4b439da06fd1f3fcb236711f',
+    ('int', 'gen_drazin_triple k=1'): '11e2533d606818323d36acfe8b2afc331f82db3c2055744e3dac58dfb5873e02',
+    ('int', 'gen_drazin_triple k=2'): 'ee900cdfa1fda3b79417dc707f60578302ee0f8bfe5d1e821511529433283e5c',
+    ('int', 'gen_drazin_triple k=3'): 'dee028cae624b4405e744a15122feeccb852cece824fcb39c59d7dbfe904574d',
+    ('int', 'gen_corollary_false cor22'): '5af81df30df57aeb20604b99002bffd3e6c5c601eb93eb4e45cb1cfaad80efea',
+    ('int', 'gen_corollary_false cor23'): '0d1f17f2db3fa0147d50ab541a5b28a74c83616110dbd84fc9a842b38a1d72af',
+    ('int', 'gen_corollary_false thm22'): '914a245b1c4ace455783c45278d3cee44ea3b25f2361a2b862bce4aaf33e95a0',
+    ('int', 'gen_corollary_false cor24'): 'b491f5164aca043a4bec4900248e1eeaf37ad1652eb73c8a51087aff7f828e9b',
+    ('rat', 'random_matrix'): 'db28a3ece094e1939f8d0b39d340f114e40ef44f8c5c5a7e527f1005262d090d',
+    ('rat', 'random_matrix 2x5'): 'b021279b7f8e2c4dd9b0de92810ee81c5725a0edb772ee50c6034c52a17017d7',
+    ('rat', 'random_unimodular'): '493a325db594c36736c140d7147a28ffff2cba106f78cdfa626d7cb78126e3a3',
+    ('rat', 'gen_group_invertible'): '7a3af1b6a7894a84adaa967c89c4f83825ec70af95923b6ce547251b89d7c522',
+    ('rat', 'gen_flanders_triple c_equals_b=True'): '88c12ac5570e2f01315a0a4e2035af73871fb73f7918ca653b9844248fd4489b',
+    ('rat', 'gen_flanders_triple c_equals_b=False'): '6545bceef5f5b188e2d490b95bfbae57b8da0e0af8bb828d688fb4c2e5460a5f',
+    ('rat', 'gen_drazin_triple k=1'): '7a3a926fd572c40057a8c86091cc34cb219dfe94e2f2ddfa07602595bf323332',
+    ('rat', 'gen_drazin_triple k=2'): 'dc8d8745a73bba78be683e68064440f3b62fa29129ae2ff65b886e971ae40ca0',
+    ('rat', 'gen_drazin_triple k=3'): '7a86eb085ce7d614584baeabf5b0c44c8a66854f822b36f1fad171aeb9d10165',
+    ('polyrat', 'random_matrix'): '923e146a4e8e9a48f9fd03da9a00e9933a1fa16564040a7f117e4e37532d46e5',
+    ('polyrat', 'random_matrix 2x5'): '49ae70fa9107cce0ac5014e9baf316015ceb5b119440b4f62016a0935ce04ba1',
+    ('polyrat', 'random_unimodular'): '137cd54cd674c4e1f3c1091a6a3dc74a6716eb6755f534ca8833d49089e7f925',
+    ('polyrat', 'gen_group_invertible'): '185180a8986e7d8340653502816aca85e3636b7658486d32f94dcafaaecea163',
+    ('polyrat', 'gen_flanders_triple c_equals_b=True'): '8bd6202035d40c26cc2eb95e4b7a6e8b975a082b33215eceafef179346ec0f01',
+    ('polyrat', 'gen_flanders_triple c_equals_b=False'): 'f7a7253238b904a59039cea0db8063f0dd6ab6c41908d3ae508218223481749a',
+    ('polyrat', 'gen_drazin_triple k=1'): 'fecda7e70e2bd1837f418cd7c3fbc40b6f1e5c77f38a29b3c40993230a755d13',
+    ('polyrat', 'gen_drazin_triple k=2'): '187e405e4cdcb85570b26daa877f5c055710c52755f85547b033f1f2d9adca02',
+    ('polyrat', 'gen_drazin_triple k=3'): '208888fbbc9bbca4188de47fc643e1ac0a3e39d3ad5623d739a7fb7c06b19543',
+}
+
+
+def _replay_digest(*mats):
+    doc = json.dumps([matrix_to_doc(m) for m in mats], sort_keys=True)
+    return hashlib.sha256(doc.encode()).hexdigest()
+
+
+def _replay_instances(ring_name):
+    bound = 2 if ring_name == "polyrat" else 9
+
+    def cfg(n, seed, r=1):
+        return GenConfig(ring=ring_name, n=n, seed=seed, entry_bound=bound, core_rank=r)
+
+    yield "random_matrix", random_matrix(cfg(4, 11))
+    yield "random_matrix 2x5", random_matrix(cfg(4, 12), m=2, n=5)
+    yield "random_unimodular", random_unimodular(cfg(5, 13))
+    yield "gen_group_invertible", gen_group_invertible(cfg(4, 14, 2))
+    for c_equals_b in (True, False):
+        yield f"gen_flanders_triple c_equals_b={c_equals_b}", *gen_flanders_triple(cfg(4, 15, 2), c_equals_b)
+    for k in (1, 2, 3):
+        yield f"gen_drazin_triple k={k}", *gen_drazin_triple(cfg(k + 2, 16 + k), k, c_equals_b=False)
+    if ring_name == "int":
+        for variant in ("cor22", "cor23", "thm22", "cor24"):
+            yield f"gen_corollary_false {variant}", *gen_corollary_false(cfg(4, 20), variant)[:3]
+
+
+@pytest.mark.parametrize("ring_name", ["int", "rat", "polyrat"])
+def test_instances_replay_bit_for_bit(ring_name):
+    got = {(ring_name, name): _replay_digest(*mats) for name, *mats in _replay_instances(ring_name)}
+    assert got == {key: d for key, d in REPLAY_DIGESTS.items() if key[0] == ring_name}
