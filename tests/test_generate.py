@@ -54,7 +54,7 @@ def test_splitmix64_seed_masking():
 
 
 @pytest.mark.parametrize("count", [0, 1, 2, 50])
-@pytest.mark.parametrize("lo, hi", [(-9, 9), (1, 1), (0, 1 << 70)])
+@pytest.mark.parametrize("lo, hi", [(-9, 9), (1, 1), (0, 1 << 70)], ids=["entries", "one-value", "wide"])
 def test_splitmix64_ints_is_repeated_int_in(count, lo, hi):
     batched, single = SplitMix64(2024), SplitMix64(2024)
     assert batched.ints(count, lo, hi) == [single.int_in(lo, hi) for _ in range(count)]
