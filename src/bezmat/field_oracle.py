@@ -30,11 +30,14 @@ R = X[I, :], M = X[I, J] (nonsingular, X == C M^-1 R) and F = R C:
     X^D == X^(k-1) N_k / d_k^2 for (X^k)^# == N_k / d_k^2.
 
 X^# exists exactly when the index is at most 1, and is then X^D, so one
-check covers both results: with delta the denominator,
+check covers both results: with delta != 0 the denominator,
 
     X N == N X,   N X N == delta N,   X^(k+1) N == delta X^k,
 
-and a failure raises InternalAssertion.  The oracle keeps its own
+and a failure raises InternalAssertion.  At index 0 the check is the
+one product X N == delta I: over a domain it makes X invertible over
+the field with N == delta X^-1, so N X == delta I and the other two
+equations follow.  The oracle keeps its own
 elimination loop (pivot order, column skipping, Gauss-Jordan on every
 row): it shares no elimination loop with the ring path (normal_forms,
 det, inverse_over_ring), so a bug there cannot agree with itself here.
@@ -149,15 +152,18 @@ def _drazin_num(x: Mat):
 
 
 def _verify(x: Mat, num: Mat, den, k: int) -> None:
-    """Drazin equations of index k for num / den, on the numerator form."""
+    """Drazin equations of index k for num / den, on the numerator form,
+    with den != 0; at k == 0 they are X N == den I alone."""
+    z = x.ring.zero
     xn = x @ num
     if k:
         pk = x ** k
-        ok = pk @ xn == pk.scale(den) and num @ xn == num.scale(den)
+        ok = xn == num @ x and pk @ xn == pk.scale(den) and num @ xn == num.scale(den)
     else:
-        # X N == delta I, which already gives N X N == delta N
-        ok = xn == Mat.identity(x.ring, x.n).scale(den)
-    if xn != num @ x or not ok:
+        ok = all(
+            e == (den if i == j else z) for i, row in enumerate(xn.rows) for j, e in enumerate(row)
+        )
+    if den == z or not ok:
         raise InternalAssertion(f"oracle Drazin inverse of index {k} failed its equations")
 
 

@@ -362,12 +362,12 @@ def inverse_over_ring(a: Mat) -> Mat:
     NotInvertibleOverRing carrying the determinant.  One fraction-free
     Gauss-Jordan elimination on [a | I] yields both: the determinant is
     the last pivot up to the sign of the row swaps, and the right block
-    is the inverse times that pivot.  The product is re-verified before
-    returning.
+    is the inverse times that pivot.  It is re-verified by the one
+    product a @ inv == I before returning: for square matrices over a
+    commutative ring a right inverse is also a left inverse.
     """
     inv = _inverse_over_ring(a)
-    ident = Mat.identity(a.ring, a.n)
-    if a @ inv != ident or inv @ a != ident:
+    if a @ inv != Mat.identity(a.ring, a.n):
         raise InternalAssertion("inverse candidate failed verification")
     return inv
 

@@ -156,10 +156,12 @@ def test_oracle_fault_flips_integrality():
 
 
 # (X, N, delta, k): each candidate breaks exactly one of X N == N X,
-# X^(k+1) N == delta X^k and N X N == delta N (at k == 0 the second reads
-# X N == delta I)
+# X^(k+1) N == delta X^k and N X N == delta N (at k == 0 the check is
+# X N == delta I alone), or satisfies them all with delta == 0
 BROKEN_CANDIDATES = {
     "k0-scaled-inverse": ([[2, 1], [1, 1]], [[2, -2], [-2, 4]], 1, 0),
+    "k0-zero-denominator": ([[2, 1], [1, 1]], [[0, 0], [0, 0]], 0, 0),
+    "k1-zero-denominator": ([[2, 1], [1, 1]], [[0, 0], [0, 0]], 0, 1),
     "k1-no-commute": ([[1, 1], [0, 0]], [[0, 0], [1, 1]], 1, 1),
     "k1-power": ([[1, 0], [0, 0]], [[0, 0], [0, 0]], 1, 1),
     "k1-reflexive": ([[1, 0], [0, 0]], [[1, 0], [0, 1]], 1, 1),
@@ -178,3 +180,41 @@ def test_verify_rejects_each_broken_equation(case):
     x, num, den, k = BROKEN_CANDIDATES[case]
     with pytest.raises(InternalAssertion, match=f"index {k} failed"):
         _verify(mat(x), mat(num), den, k)
+
+
+FULL_RANK = {
+    "int": mat([[2, 1, 0], [1, 1, 0], [0, 0, 3]]),
+    "polyrat": Mat.from_rows(QQX, [[X, 1, 0], [0, X, 1], [1, 0, X]]),
+}
+
+
+@pytest.mark.parametrize("ring_name", sorted(FULL_RANK))
+def test_oracle_checks_a_full_rank_inverse_with_one_product(count_calls, ring_name):
+    # X N == delta I with delta != 0 makes N X == delta I over a domain
+    counts = count_calls(("bezmat.matrix", "Mat.__matmul__"))
+    rep = fraction_field_oracle(FULL_RANK[ring_name])
+    assert rep.rank == 3 and rep.drazin_index == 0
+    assert counts["__matmul__"] == 1
+
+
+def test_oracle_rank_deficient_product_count_is_pinned(count_calls):
+    # F = R C, X^# = C A M A R, then X N, N X, X^2 N and N X N
+    counts = count_calls(("bezmat.matrix", "Mat.__matmul__"))
+    rep = fraction_field_oracle(mat([[3, -1, 1], [1, 0, 0], [0, 0, 0]]))
+    assert rep.rank == 2 and rep.drazin_index == 1
+    assert counts["__matmul__"] == 9
+
+
+@pytest.mark.parametrize("ring_name", sorted(FULL_RANK))
+def test_oracle_rejects_a_full_rank_inverse_with_one_entry_off(monkeypatch, ring_name):
+    from bezmat import field_oracle
+
+    real = field_oracle._inverse_num
+
+    def off_by_one(x):
+        rank, cols, prows, num, d = real(x)
+        return rank, cols, prows, num + Mat.diagonal(x.ring, [1], x.n, x.n), d
+
+    monkeypatch.setattr(field_oracle, "_inverse_num", off_by_one)
+    with pytest.raises(InternalAssertion, match="index 0 failed"):
+        fraction_field_oracle(FULL_RANK[ring_name])

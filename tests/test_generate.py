@@ -112,6 +112,13 @@ def test_random_unimodular_carries_its_inverse(ring_name, n):
         assert hinv == inverse_over_ring(h)
 
 
+def test_random_unimodular_checks_with_one_product(count_calls):
+    # H @ H^-1 == I makes H^-1 @ H == I for square matrices
+    counts = count_calls(("bezmat.matrix", "Mat.__matmul__"))
+    random_unimodular(GenConfig(ring="int", n=5, seed=2))
+    assert counts["__matmul__"] == 1
+
+
 def test_gen_group_invertible_rank_and_property():
     for r in (0, 1, 2, 3):
         cfg = GenConfig(ring="int", n=3, seed=10 + r, core_rank=r)

@@ -285,6 +285,13 @@ def test_inverse_over_ring_checks_what_it_returns(monkeypatch):
         inverse_over_ring(mat([[2, 1], [1, 1]]))
 
 
+def test_inverse_over_ring_checks_with_one_product(count_calls):
+    # a @ inv == I makes inv @ a == I for square matrices
+    counts = count_calls(("bezmat.matrix", "Mat.__matmul__"))
+    assert inverse_over_ring(mat([[2, 1], [1, 1]])) == mat([[1, -1], [-1, 2]])
+    assert counts["__matmul__"] == 1
+
+
 def test_solve_in_column_module():
     a = mat([[2, 0], [0, 3]])
     b = mat([[4], [3]])
