@@ -37,10 +37,10 @@ check covers both results: with delta != 0 the denominator,
 and a failure raises InternalAssertion.  At index 0 the check is the
 one product X N == delta I: over a domain it makes X invertible over
 the field with N == delta X^-1, so N X == delta I and the other two
-equations follow.  The oracle keeps its own
-elimination loop (pivot order, column skipping, Gauss-Jordan on every
-row): it shares no elimination loop with the ring path (normal_forms,
-det, inverse_over_ring), so a bug there cannot agree with itself here.
+equations follow.  The oracle keeps its own elimination loop (pivot
+order, column skipping, Gauss-Jordan on every row): it shares no
+elimination loop with the ring path (normal_forms, det,
+inverse_over_ring), so a bug there cannot agree with itself here.
 It does share the ring's integer image, the checked row update
 ``rings.fraction_free_step`` and ``@``, which run on that image;
 ``tests/test_images.py`` guards them against a schoolbook reference on
