@@ -29,18 +29,21 @@ Instance families:
         A = H1 @ diag(MA, 0) @ H2,   B = H2^-1 @ diag(MB, 0) @ H1^-1,
     so  A@B = H1 @ diag(MA@MB, 0) @ H1^-1  is group invertible, and
     C = B (classical regime) or C = B + N with A@N@A = 0, where N mixes
-    a right-kernel part (A@Nr = 0, columns from the kernel basis of
-    _kernel_basis below) and a left-kernel part (Nl@A = 0).  Then
-    C@A = B@A + Nr@A lands in the form H2^-1 @ [[K,0],[S,0]] @ H2 with
-    K = MB@MA unimodular, which is always group invertible — the
-    group-invertibility rejection loop exists as a guard but never
-    fires for this family.
+    a right-kernel part Nr (columns in the span of columns r.. of
+    H2^-1, the right kernel of A) and a left-kernel part Nl (rows in
+    the span of rows r.. of H1^-1, the left kernel).  Then C@A = B@A +
+    Nr@A lands in the form H2^-1 @ [[K,0],[S,0]] @ H2 with K = MB@MA
+    unimodular, which is always group invertible: the generator checks
+    both A@B and C@A and raises InternalAssertion if either is not.
 
   * gen_drazin_triple  —  A = H1 @ diag(MA, N) @ H2 with N an m x m
     nilpotent shift chain of index exactly k, B = H2^-1 @ diag(MB, I)
-    @ H1^-1, so ind(A@B) = k precisely.  When C != B the index of C@A
-    can legitimately reach k+1; instances are rejection-filtered so the
-    emitted triples also satisfy ind(C@A) <= max(k, 1).
+    @ H1^-1, so ind(A@B) = k precisely.  The kernels of A come from the
+    same factors: columns r and r+k.. of H2^-1 on the right (the zero
+    columns of the chain), rows r+k-1.. of H1^-1 on the left (its zero
+    rows).  When C != B the index of C@A can legitimately reach k+1;
+    instances are rejection-filtered so the emitted triples also
+    satisfy ind(C@A) <= max(k, 1).
 
   * corollary instance makers — aligned-core triples satisfy all four
     sufficient-condition variants (engineered-true), and small frozen
@@ -60,7 +63,7 @@ from fractions import Fraction
 
 from .errors import GenerationExhausted, InternalAssertion, NotDrazinInvertible
 from .ginverse import drazin, is_group_invertible
-from .matrix import Mat, block_diag
+from .matrix import Mat, block_diag, hstack
 from .rings import Poly, get_ring
 
 _RETRY_BUDGET = 64
@@ -223,11 +226,10 @@ def random_unimodular(cfg: GenConfig, n: int | None = None) -> Mat:
 
 
 def _core_form(ring, rng, n: int, r: int):
-    """(H, Hinv, D=diag(M, 0), M) with H unimodular and M unimodular r x r."""
+    """(H, Hinv, D=diag(M, 0)) with H unimodular and M unimodular r x r."""
     h, hinv = _random_unimodular(ring, rng, n)
     m_core, _ = _random_unimodular(ring, rng, r)
-    d = block_diag(m_core, Mat.zeros(ring, n - r, n - r))
-    return h, hinv, d, m_core
+    return h, hinv, block_diag(m_core, Mat.zeros(ring, n - r, n - r))
 
 
 def gen_group_invertible(cfg: GenConfig) -> Mat:
@@ -236,69 +238,24 @@ def gen_group_invertible(cfg: GenConfig) -> Mat:
         raise ValueError("core_rank must not exceed n")
     ring = get_ring(cfg.ring)
     rng = SplitMix64(cfg.seed)
-    h, hinv, d, _ = _core_form(ring, rng, cfg.n, cfg.core_rank)
+    h, hinv, d = _core_form(ring, rng, cfg.n, cfg.core_rank)
     return h @ d @ hinv
 
 
-def _kernel_basis(a: Mat) -> Mat:
-    """Columns generating {x : a @ x == 0} (n x d), for the perturbations.
-
-    The basis is part of the instance definition, so it is fixed here
-    rather than taken from the library's Hermite transform, which any
-    change to the Hermite elimination may alter.  The columns of a
-    stacked on the identity are eliminated row by row: the nonzero
-    entry of least ring.size in the columns k.. not yet used (the first
-    one on a tie) is swapped to column k, then each later nonzero entry
-    b of the row is combined with its entry a through the xgcd block,
-    (col_k, col_j) <- (s*col_k + t*col_j, u*col_j - v*col_k) for
-    (g, s, t, u, v) = ring.xgcd(a, b), and k advances.  The identity
-    part of the columns k.. left at the end is the basis.
-    """
-    ring = a.ring
-    m, n = a.m, a.n
-    z = ring.zero
-    cols = [
-        [a.rows[i][j] for i in range(m)] + [ring.one if r == j else z for r in range(n)]
-        for j in range(n)
-    ]
-    k = 0
-    for i in range(m):
-        if k == n:
-            break
-        live = [j for j in range(k, n) if cols[j][i] != z]
-        if not live:
-            continue
-        p = min(live, key=lambda j: ring.size(cols[j][i]))
-        cols[k], cols[p] = cols[p], cols[k]
-        for j in range(k + 1, n):
-            if cols[j][i] != z:
-                _, s, t, u, v = ring.xgcd(cols[k][i], cols[j][i])
-                ck, cj = cols[k], cols[j]
-                cols[k] = [s * x + t * y for x, y in zip(ck, cj)]
-                cols[j] = [u * y - v * x for x, y in zip(ck, cj)]
-        k += 1
-    return Mat.from_columns(ring, [c[m:] for c in cols[k:]], nrows=n)
-
-
-def _perturbation(ring, rng, a: Mat, bound: int) -> Mat:
-    """Random N with A @ N @ A == 0: a right-kernel part (A @ Nr = 0)
-    plus a left-kernel part (Nl @ A = 0)."""
-    n = a.n
+def _perturbation(ring, rng, right: Mat, left: Mat, bound: int) -> Mat:
+    """Random N with A @ N @ A == 0 from kernel factors of A: a
+    right-kernel part right @ X (A @ right == 0, right n x d) plus a
+    left-kernel part Y @ left (left @ A == 0, left d' x n)."""
+    n = right.m
     use_right = rng.below(2) == 1
     use_left = rng.below(2) == 1
     if not use_right and not use_left:
         use_right = True
     total = Mat.zeros(ring, n, n)
     if use_right:
-        kb = _kernel_basis(a)  # n x d
-        if kb.n:
-            coeffs = _random_matrix(ring, rng, kb.n, n, bound)
-            total = total + kb @ coeffs
+        total = total + right @ _random_matrix(ring, rng, right.n, n, bound)
     if use_left:
-        lb = _kernel_basis(a.transpose()).transpose()  # d x n
-        if lb.m:
-            coeffs = _random_matrix(ring, rng, n, lb.m, bound)
-            total = total + coeffs @ lb
+        total = total + _random_matrix(ring, rng, n, left.m, bound) @ left
     return total
 
 
@@ -309,22 +266,21 @@ def gen_flanders_triple(cfg: GenConfig, c_equals_b: bool) -> GeneratedTriple:
     ring = get_ring(cfg.ring)
     rng = SplitMix64(cfg.seed)
     n, r = cfg.n, cfg.core_rank
-    for retries in range(_RETRY_BUDGET):
-        h1, h1inv, da, _ = _core_form(ring, rng, n, r)
-        h2, h2inv, db, _ = _core_form(ring, rng, n, r)
-        a = h1 @ da @ h2
-        b = h2inv @ db @ h1inv
-        if c_equals_b:
-            c = b
-        else:
-            c = b + _perturbation(ring, rng, a, cfg.entry_bound)
-        if a @ b @ a != a @ c @ a:
-            raise InternalAssertion("perturbation broke A@B@A == A@C@A")
-        if is_group_invertible(a @ b) and is_group_invertible(c @ a):
-            return GeneratedTriple(A=a, B=b, C=c, retries=retries)
-    raise GenerationExhausted(
-        f"no acceptable triple after {_RETRY_BUDGET} attempts (seed {cfg.seed})"
-    )
+    h1, h1inv, da = _core_form(ring, rng, n, r)
+    h2, h2inv, db = _core_form(ring, rng, n, r)
+    a = h1 @ da @ h2
+    b = h2inv @ db @ h1inv
+    if c_equals_b:
+        c = b
+    else:
+        # ker A: columns r.. of H2^-1 on the right, rows r.. of H1^-1 on the left
+        right, left = h2inv.submatrix(0, n, r, n), h1inv.submatrix(r, n, 0, n)
+        c = b + _perturbation(ring, rng, right, left, cfg.entry_bound)
+    if a @ b @ a != a @ c @ a:
+        raise InternalAssertion("perturbation broke A@B@A == A@C@A")
+    if not (is_group_invertible(a @ b) and is_group_invertible(c @ a)):
+        raise InternalAssertion("aligned cores must make A@B and C@A group invertible")
+    return GeneratedTriple(A=a, B=b, C=c, retries=0)
 
 
 def _nilpotent_chain(ring, m: int, k: int) -> Mat:
@@ -357,7 +313,10 @@ def gen_drazin_triple(cfg: GenConfig, k: int, c_equals_b: bool) -> GeneratedTrip
         if c_equals_b:
             c = b
         else:
-            c = b + _perturbation(ring, rng, a, cfg.entry_bound)
+            # ker A: columns r, r+k.. of H2^-1 on the right, rows r+k-1.. of H1^-1 on the left
+            right = hstack(h2inv.submatrix(0, n, r, r + 1), h2inv.submatrix(0, n, r + k, n))
+            left = h1inv.submatrix(r + k - 1, n, 0, n)
+            c = b + _perturbation(ring, rng, right, left, cfg.entry_bound)
         if a @ b @ a != a @ c @ a:
             raise InternalAssertion("perturbation broke A@B@A == A@C@A")
         dr = drazin(a @ b)

@@ -37,10 +37,10 @@ scaled by the denominators of R alone, not by a power of the largest.
 images (``matrix._bareiss`` and ``field_oracle._rref_den``), with its
 exact division checked.
 
-xgcd contract, identical across rings.  The normal forms call no xgcd
-(they clear by remainder quotients); it serves ``generate._kernel_basis``,
-which keeps its own copy of the old xgcd elimination so that generated
-instances replay bit-for-bit.  ``xgcd(a, b)`` returns
+xgcd contract, identical across rings.  No library code calls xgcd (the
+normal forms clear by remainder quotients, the generator reads kernels
+off its unimodular factors); it stays only for ``bench/tracer.py``,
+which counts it on each ring class.  ``xgcd(a, b)`` returns
 ``(g, s, t, u, v)`` with
 
     s*a + t*b == g,   a == g*u,   b == g*v,
@@ -626,7 +626,7 @@ class PolynomialRing:
             raise DivisionByZero("polynomial division by zero")
         q, r = a.divmod(b)
         if not r.is_zero():
-            raise NotDivisible(f"({b}) does not divide ({a})")
+            raise NotDivisible("polynomial division left a remainder")
         return q
 
     def divides(self, b, a) -> bool:

@@ -15,7 +15,6 @@ from bezmat.generate import (
     GenConfig,
     GeneratedTriple,
     SplitMix64,
-    _kernel_basis,
     _random_unimodular,
     gen_corollary_false,
     gen_corollary_true,
@@ -28,7 +27,7 @@ from bezmat.generate import (
 from bezmat.ginverse import drazin, is_group_invertible
 from bezmat.io import matrix_to_doc
 from bezmat.matrix import Mat, det, inverse_over_ring
-from bezmat.normal_forms import rank, right_kernel_basis
+from bezmat.normal_forms import col_module_equal, left_kernel_basis, rank, right_kernel_basis
 from bezmat.rings import get_ring
 from bezmat.similarity import VARIANTS, corollary_check
 
@@ -138,7 +137,7 @@ def test_gen_flanders_triple_properties(c_equals_b):
         assert a @ b @ a == a @ c @ a
         assert is_group_invertible(a @ b)
         assert is_group_invertible(c @ a)
-        # the aligned-core family never hits the rejection loop
+        # the aligned-core family has no rejection loop
         assert t.retries == 0
         if c_equals_b:
             assert c == b
@@ -152,16 +151,35 @@ def test_gen_flanders_triple_deterministic():
     assert isinstance(t1, GeneratedTriple)
 
 
-def test_perturbation_kernel_basis_is_fixed():
-    # The kernel basis is part of the instance definition, so it must not
-    # follow the library's Hermite transform, which gives another basis
-    # of the same kernel here.
-    a = Mat.from_rows(get_ring("int"), [[4, -2, 1, 3], [-3, -4, 3, 0]])
-    kb = _kernel_basis(a)
-    assert kb.rows == ((2, -9), (15, -63), (22, -93), (0, 1))
-    assert right_kernel_basis(a) != kb
-    assert a @ kb == Mat.zeros(get_ring("int"), 2, 2)
-    assert _kernel_basis(Mat.zeros(get_ring("int"), 0, 2)) == Mat.identity(get_ring("int"), 2)
+@pytest.mark.parametrize("ring_name", ["int", "rat", "polyrat"])
+def test_perturbation_factors_span_the_kernels(ring_name, monkeypatch):
+    # the perturbation takes ker A from the construction's own unimodular
+    # factors: they must annihilate A and generate its whole kernels
+    from bezmat import generate
+
+    seen = []
+    perturbation = generate._perturbation
+
+    def capture(ring, rng, right, left, bound):
+        seen.append((right, left))
+        return perturbation(ring, rng, right, left, bound)
+
+    monkeypatch.setattr(generate, "_perturbation", capture)
+    bound = 2 if ring_name == "polyrat" else 9
+
+    def cfg(n, seed, r):
+        return GenConfig(ring=ring_name, n=n, seed=seed, entry_bound=bound, core_rank=r)
+
+    makes = [lambda r=r: gen_flanders_triple(cfg(3, 30 + r, r), False) for r in range(4)]
+    makes += [lambda k=k: gen_drazin_triple(cfg(k + 2, 40 + k, 1), k, False) for k in (1, 2, 3)]
+    for make in makes:
+        seen.clear()
+        a = make().A
+        right, left = seen[-1]  # the call that made the returned C
+        assert (a @ right).is_zero() and right.m == a.n
+        assert (left @ a).is_zero() and left.n == a.n
+        assert col_module_equal(right, right_kernel_basis(a))
+        assert col_module_equal(left.transpose(), left_kernel_basis(a).transpose())
 
 
 @pytest.mark.parametrize("k", [1, 2, 3])
@@ -193,8 +211,12 @@ def test_generator_self_checks_survive_optimized_mode(monkeypatch):
         m.setattr(generate, "drazin", lambda x: DrazinResult(index=5, dinv=x))
         with pytest.raises(InternalAssertion, match="ind"):
             gen_drazin_triple(cfg, 2, c_equals_b=False)
+    with monkeypatch.context() as m:
+        m.setattr(generate, "is_group_invertible", lambda x: False)
+        with pytest.raises(InternalAssertion, match="group invertible"):
+            gen_flanders_triple(GenConfig(ring="int", n=4, seed=1, core_rank=2), False)
     monkeypatch.setattr(
-        generate, "_perturbation", lambda ring, rng, a, bound: Mat.identity(ring, a.n)
+        generate, "_perturbation", lambda ring, rng, right, left, bound: Mat.identity(ring, right.m)
     )
     with pytest.raises(InternalAssertion, match="perturbation"):
         gen_flanders_triple(GenConfig(ring="int", n=4, seed=1, core_rank=2), False)
@@ -246,7 +268,9 @@ def test_gen_config_round_trip_dict():
 
 
 # sha256 of the matrix_to_doc JSON of one instance per family and ring,
-# recorded before the batched draws and carried inverses went in: any
+# recorded before the batched draws and carried inverses went in; the
+# C != B rows (c_equals_b=False and the Drazin rows) re-recorded when the
+# perturbations began to take ker A from the construction's factors.  Any
 # change to the stream, the draw order or the constructions shows here.
 REPLAY_DIGESTS = {
     ('int', 'random_matrix'): '95c27daa6e55185f7e9f6d12ce8c85a351c25868ec5afbc2121d159149f4e6b4',
@@ -254,10 +278,10 @@ REPLAY_DIGESTS = {
     ('int', 'random_unimodular'): '3d9d23b460f528b862491b32bdc9faee379fdfbf872e57d5e0c4657960778a8f',
     ('int', 'gen_group_invertible'): 'c2c99d78b502752adcf91b04b200a764daf6f65b892f264fc75f89b76d7f5e5b',
     ('int', 'gen_flanders_triple c_equals_b=True'): '0cc9071a042c161804a1dfa5f1b7bdf07ba7e7a336dd8c75518d0c21d0d88d25',
-    ('int', 'gen_flanders_triple c_equals_b=False'): '12ce638cd3f189ee5ca41605d1fa7b44d7dd5d6b4b439da06fd1f3fcb236711f',
-    ('int', 'gen_drazin_triple k=1'): '11e2533d606818323d36acfe8b2afc331f82db3c2055744e3dac58dfb5873e02',
-    ('int', 'gen_drazin_triple k=2'): 'ee900cdfa1fda3b79417dc707f60578302ee0f8bfe5d1e821511529433283e5c',
-    ('int', 'gen_drazin_triple k=3'): 'dee028cae624b4405e744a15122feeccb852cece824fcb39c59d7dbfe904574d',
+    ('int', 'gen_flanders_triple c_equals_b=False'): '748f58150ea47e792948205cf2593fed9b104ccb1a78f70b9a0c0764b9f0ddc9',
+    ('int', 'gen_drazin_triple k=1'): 'c62a32fbb414e74422c637ef2c09d70dfd01aa4563c00d70416bb9568c20e585',
+    ('int', 'gen_drazin_triple k=2'): '4b237491d6ecff77624e65e6e84ba5757139a353fd8f133faa404701fb229710',
+    ('int', 'gen_drazin_triple k=3'): '9f87a5a7d768bddd3cb56b0b3953a24e82660ff06074c5c675ac36709a1d2a2f',
     ('int', 'gen_corollary_false cor22'): '5af81df30df57aeb20604b99002bffd3e6c5c601eb93eb4e45cb1cfaad80efea',
     ('int', 'gen_corollary_false cor23'): '0d1f17f2db3fa0147d50ab541a5b28a74c83616110dbd84fc9a842b38a1d72af',
     ('int', 'gen_corollary_false thm22'): '914a245b1c4ace455783c45278d3cee44ea3b25f2361a2b862bce4aaf33e95a0',
@@ -267,19 +291,19 @@ REPLAY_DIGESTS = {
     ('rat', 'random_unimodular'): '493a325db594c36736c140d7147a28ffff2cba106f78cdfa626d7cb78126e3a3',
     ('rat', 'gen_group_invertible'): '7a3af1b6a7894a84adaa967c89c4f83825ec70af95923b6ce547251b89d7c522',
     ('rat', 'gen_flanders_triple c_equals_b=True'): '88c12ac5570e2f01315a0a4e2035af73871fb73f7918ca653b9844248fd4489b',
-    ('rat', 'gen_flanders_triple c_equals_b=False'): '6545bceef5f5b188e2d490b95bfbae57b8da0e0af8bb828d688fb4c2e5460a5f',
-    ('rat', 'gen_drazin_triple k=1'): '7a3a926fd572c40057a8c86091cc34cb219dfe94e2f2ddfa07602595bf323332',
-    ('rat', 'gen_drazin_triple k=2'): 'dc8d8745a73bba78be683e68064440f3b62fa29129ae2ff65b886e971ae40ca0',
-    ('rat', 'gen_drazin_triple k=3'): '7a86eb085ce7d614584baeabf5b0c44c8a66854f822b36f1fad171aeb9d10165',
+    ('rat', 'gen_flanders_triple c_equals_b=False'): 'dd7f129c26b35572f9c0e02111accf55d52528d5d4bb928bd461c912b9d47b71',
+    ('rat', 'gen_drazin_triple k=1'): '72dbf4877019c2e45b96a729b8ba849c8d51199941e83f629cae3956da6231f9',
+    ('rat', 'gen_drazin_triple k=2'): '21f160e0fcff80d9506aa6a6880c80a99e103f133803aa664b755b85650cd35e',
+    ('rat', 'gen_drazin_triple k=3'): 'ad39366c854a212cb3a57572ec8d509956b1230fd524a8f04f5bc3a1004f4ffd',
     ('polyrat', 'random_matrix'): '923e146a4e8e9a48f9fd03da9a00e9933a1fa16564040a7f117e4e37532d46e5',
     ('polyrat', 'random_matrix 2x5'): '49ae70fa9107cce0ac5014e9baf316015ceb5b119440b4f62016a0935ce04ba1',
     ('polyrat', 'random_unimodular'): '137cd54cd674c4e1f3c1091a6a3dc74a6716eb6755f534ca8833d49089e7f925',
     ('polyrat', 'gen_group_invertible'): '185180a8986e7d8340653502816aca85e3636b7658486d32f94dcafaaecea163',
     ('polyrat', 'gen_flanders_triple c_equals_b=True'): '8bd6202035d40c26cc2eb95e4b7a6e8b975a082b33215eceafef179346ec0f01',
-    ('polyrat', 'gen_flanders_triple c_equals_b=False'): 'f7a7253238b904a59039cea0db8063f0dd6ab6c41908d3ae508218223481749a',
-    ('polyrat', 'gen_drazin_triple k=1'): 'fecda7e70e2bd1837f418cd7c3fbc40b6f1e5c77f38a29b3c40993230a755d13',
+    ('polyrat', 'gen_flanders_triple c_equals_b=False'): '641ea2762ee90b24723e05270c704a60f5be1cd9e0cbdf567ca7878bfb3ec455',
+    ('polyrat', 'gen_drazin_triple k=1'): '67523e398cdb9b7876a71dd8f47671cb05503c52f9de828b8a7dbb76843f2483',
     ('polyrat', 'gen_drazin_triple k=2'): '187e405e4cdcb85570b26daa877f5c055710c52755f85547b033f1f2d9adca02',
-    ('polyrat', 'gen_drazin_triple k=3'): '208888fbbc9bbca4188de47fc643e1ac0a3e39d3ad5623d739a7fb7c06b19543',
+    ('polyrat', 'gen_drazin_triple k=3'): 'bd66b0d2bd1523ff1c2d38b00fb918feb8785a453e7e9d893877eafe34cd8f0e',
 }
 
 
