@@ -41,9 +41,9 @@ Instance families:
     @ H1^-1, so ind(A@B) = k precisely.  The kernels of A come from the
     same factors: columns r and r+k.. of H2^-1 on the right (the zero
     columns of the chain), rows r+k-1.. of H1^-1 on the left (its zero
-    rows).  When C != B the index of C@A can legitimately reach k+1;
-    instances are rejection-filtered so the emitted triples also
-    satisfy ind(C@A) <= max(k, 1).
+    rows).  C@A is always Drazin invertible (exchange formula), but when
+    C != B its index can reach k+1; instances are rejection-filtered on
+    that index so the emitted triples satisfy ind(C@A) <= max(k, 1).
 
   * corollary instance makers — aligned-core triples satisfy all four
     sufficient-condition variants (engineered-true), and small frozen
@@ -61,7 +61,7 @@ from __future__ import annotations
 from collections import namedtuple
 from fractions import Fraction
 
-from .errors import GenerationExhausted, InternalAssertion, NotDrazinInvertible
+from .errors import GenerationExhausted, InternalAssertion
 from .ginverse import drazin, is_group_invertible
 from .matrix import Mat, block_diag, hstack
 from .rings import Poly, get_ring
@@ -276,9 +276,10 @@ def gen_flanders_triple(cfg: GenConfig, c_equals_b: bool) -> GeneratedTriple:
         # ker A: columns r.. of H2^-1 on the right, rows r.. of H1^-1 on the left
         right, left = h2inv.submatrix(0, n, r, n), h1inv.submatrix(r, n, 0, n)
         c = b + _perturbation(ring, rng, right, left, cfg.entry_bound)
-    if a @ b @ a != a @ c @ a:
+    ab, ca = a @ b, c @ a
+    if ab @ a != a @ ca:
         raise InternalAssertion("perturbation broke A@B@A == A@C@A")
-    if not (is_group_invertible(a @ b) and is_group_invertible(c @ a)):
+    if not (is_group_invertible(ab) and is_group_invertible(ca)):
         raise InternalAssertion("aligned cores must make A@B and C@A group invertible")
     return GeneratedTriple(A=a, B=b, C=c, retries=0)
 
@@ -293,7 +294,8 @@ def _nilpotent_chain(ring, m: int, k: int) -> Mat:
 
 def gen_drazin_triple(cfg: GenConfig, k: int, c_equals_b: bool) -> GeneratedTriple:
     """Triple with A@B@A == A@C@A, ind(A@B) == k exactly, and
-    ind(C@A) <= max(k, 1) so power witnesses with s == k succeed."""
+    ind(C@A) <= max(k, 1) so power witnesses with s == k succeed; C@A is
+    always Drazin invertible, so the loop filters only its index."""
     ring = get_ring(cfg.ring)
     rng = SplitMix64(cfg.seed)
     n, r = cfg.n, cfg.core_rank
@@ -317,16 +319,12 @@ def gen_drazin_triple(cfg: GenConfig, k: int, c_equals_b: bool) -> GeneratedTrip
             right = hstack(h2inv.submatrix(0, n, r, r + 1), h2inv.submatrix(0, n, r + k, n))
             left = h1inv.submatrix(r + k - 1, n, 0, n)
             c = b + _perturbation(ring, rng, right, left, cfg.entry_bound)
-        if a @ b @ a != a @ c @ a:
+        ab, ca = a @ b, c @ a
+        if ab @ a != a @ ca:
             raise InternalAssertion("perturbation broke A@B@A == A@C@A")
-        dr = drazin(a @ b)
-        if dr.index != k:
+        if drazin(ab).index != k:
             raise InternalAssertion("chain construction must give ind(A@B) == k")
-        try:
-            ca_index = drazin(c @ a).index
-        except NotDrazinInvertible:
-            continue
-        if ca_index <= max(k, 1):
+        if drazin(ca).index <= max(k, 1):
             return GeneratedTriple(A=a, B=b, C=c, retries=retries)
     raise GenerationExhausted(
         f"no index-{k} triple after {_RETRY_BUDGET} attempts (seed {cfg.seed})"

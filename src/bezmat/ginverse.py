@@ -147,15 +147,15 @@ def idempotent_split(e: Mat) -> Mat:
     the image of I - E; for an idempotent over a Bezout domain these are
     complementary free summands, so H is square and unimodular.
     """
-    return _split_idempotent(e)[0]
-
-
-def _split_idempotent(e: Mat):
-    """(H, H^-1, E's rank factorization) for idempotent_split."""
     if not e.is_square():
         raise NotSquare(f"idempotent_split of a {e.m}x{e.n} matrix")
     if e @ e != e:
         raise NotIdempotent("E @ E != E")
+    return _split_idempotent(e)[0]
+
+
+def _split_idempotent(e: Mat):
+    """(H, H^-1, E's rank factorization) for a square idempotent E."""
     ident = Mat.identity(e.ring, e.n)
     im = rank_factorization(e)
     co = _rank_factorization(ident - e)

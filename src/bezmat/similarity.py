@@ -31,6 +31,10 @@ fully checkable at runtime:
   6. W @ Winv == I and A@B == W @ (C@A) @ Winv are verified before
      returning.
 
+Powers reuse the construction on (A, B @ X^(s-1), Y^(s-1) @ C), whose
+products X^s, Y^s and shared-product identity follow by associativity
+unchecked; for s >= ind(X), (X^s)^# == (X^D)^s passes the group equations.
+
 The construction is checked, not assumed: unequal ranks in step 4 or a
 failed step 6 raise InternalAssertion with a replayable instance dump,
 never a silent wrong answer.  No case is special: at rank 0, P and P'
@@ -258,11 +262,11 @@ def _derived_conjugations(a: Mat, b: Mat, c: Mat, wit: SimilarityWitness, proj) 
 def power_witness(a: Mat, b: Mat, c: Mat, s: int) -> SimilarityWitness:
     """Witness conjugating (A@B)^s to (C@A)^s for s at least max(index, 1).
 
-    Reduces to the base construction on the modified triple
-    B' = B @ (A@B)^(s-1) and C' = (C@A)^(s-1) @ C, for which
-    A @ B' == (A@B)^s and C' @ A == (C@A)^s.  The floor uses the Drazin
-    index k of A@B; s == k is attempted and verified rather than
-    assumed, so a (C@A)-side failure at s == k surfaces as
+    Reduces to the base construction on B' = B @ (A@B)^(s-1) and
+    C' = (C@A)^(s-1) @ C, whose products and shared-product identity hold
+    by associativity.  The floor uses the Drazin inverse D of A@B, of
+    index k, and ((A@B)^s)^# == D^s; for C@A, s == k is attempted rather
+    than assumed, so a (C@A)-side failure at s == k surfaces as
     NotGroupInvertible.
     """
     return _power_witness(a, b, c, s, None, None)
@@ -280,27 +284,15 @@ def _power_witness(a: Mat, b: Mat, c: Mat, s: int, ab, dr_ab) -> SimilarityWitne
         raise IndexTooSmall(
             f"s={s} is below max(index, 1)={floor}", s=s, index=k
         )
-    xp = x ** (s - 1)
-    yp = y ** (s - 1)
-    b2 = b @ xp
-    c2 = yp @ c
+    b2 = b @ x ** (s - 1)
+    c2 = y ** (s - 1) @ c
     xs = a @ b2
     ys = c2 @ a
-    if xs != x @ xp or ys != yp @ y:
+    xsg = dr_ab.dinv ** s
+    proj = xs @ xsg
+    if proj != xsg @ xs or xsg @ proj != xsg or proj @ xs != xs:
         raise InternalAssertion(
-            "power reduction identities failed",
-            instance=_instance_dump(a, b, c, f"power-reduce s={s}"),
-        )
-    if xs @ a != a @ ys:
-        raise InternalAssertion(
-            "reduced triple lost the shared-product identity",
-            instance=_instance_dump(a, b, c, f"power-hypothesis s={s}"),
-        )
-    res_abs, fail_abs = _group_inverse_attempt(xs)
-    if fail_abs is not None:
-        # guaranteed for s >= index of A@B; failure means a bug
-        raise InternalAssertion(
-            "(A@B)^s is not group invertible despite s >= index",
+            "((A@B)^D)^s failed the group equations of (A@B)^s despite s >= index",
             instance=_instance_dump(a, b, c, f"power-ab s={s}"),
         )
     res_cas, fail_cas = _group_inverse_attempt(ys)
@@ -308,7 +300,7 @@ def _power_witness(a: Mat, b: Mat, c: Mat, s: int, ab, dr_ab) -> SimilarityWitne
         # legitimately possible at s == k when index(C@A) == k + 1
         fail_cas.side = "CA^s"
         raise fail_cas
-    return _witness_from(a, b2, c2, xs, ys, res_abs.ginv, res_cas.ginv)[0]
+    return _witness_from(a, b2, c2, xs, ys, xsg, res_cas.ginv)[0]
 
 
 def cline_verify(a: Mat, b: Mat, c: Mat) -> bool:

@@ -197,7 +197,13 @@ def test_drazin_verbs_derive_each_inverse_once(write_doc, count_calls, verb, dra
     cfg = GenConfig(ring="int", n=10, seed=3, entry_bound=9, core_rank=4)
     tr = gen_drazin_triple(cfg, 2, c_equals_b=False)
     files = [write_doc(name, matrix_to_doc(m)) for name, m in zip("ABC", tr)]
-    counts = count_calls(("bezmat.ginverse", "drazin"), ("bezmat.matrix", "Mat.__matmul__"))
+    counts = count_calls(
+        ("bezmat.ginverse", "drazin"),
+        ("bezmat.ginverse", "_group_inverse_attempt"),
+        ("bezmat.matrix", "det"),
+        ("bezmat.normal_forms", "column_hermite"),
+        ("bezmat.matrix", "Mat.__matmul__"),
+    )
     code, doc = run_json([verb, *files])
     assert code == 0
     if verb == "verify-cline":
@@ -205,8 +211,12 @@ def test_drazin_verbs_derive_each_inverse_once(write_doc, count_calls, verb, dra
     else:
         assert doc["s"] == 2 and doc["verified"] == {"power_product": True}
         # A@B, A@B' and C'@A are formed once, and the power identity is
-        # evaluated once, by the library
-        assert counts["__matmul__"] <= 50
+        # evaluated once, by the library; (A@B)^s takes its group inverse
+        # from (A@B)^D, so only (C@A)^s is searched
+        assert counts["_group_inverse_attempt"] == 1
+        assert counts["det"] <= 2
+        assert counts["column_hermite"] <= 5
+        assert counts["__matmul__"] <= 43
     assert counts["drazin"] == drazin_calls
 
 
@@ -458,14 +468,23 @@ def test_exit_5_variant_without_group_inverse_dumps_instance(write_doc, monkeypa
 
 
 def test_exit_5_power_not_group_invertible_dumps_instance(write_doc, monkeypatch):
-    # (A@B)^s is group invertible for every s >= index(A@B)
+    # ((A@B)^D)^s is the group inverse of (A@B)^s for every s >= index(A@B);
+    # a Drazin inverse off by one entry must fail its group equations
     from bezmat import similarity
 
-    monkeypatch.setattr(
-        similarity, "_group_inverse_attempt", lambda x: (None, NotGroupInvertible("injected"))
-    )
+    real = similarity.drazin
+
+    def off_by_one(x):
+        res = real(x)
+        return res._replace(dinv=res.dinv + Mat.diagonal(x.ring, [1], x.m, x.n))
+
+    monkeypatch.setattr(similarity, "drazin", off_by_one)
     instance = run_swap_exit_5(write_doc, ["witness-power", "--s", "2"])
     assert instance["stage"] == "power-ab s=2"
+    # the dump replays: its own triple stops at the same stage
+    files = [write_doc(f"{name}.json", instance[name]) for name in "ABC"]
+    code, doc = run_json(["witness-power", *files, "--s", "2"])
+    assert code == 5 and doc["instance"] == instance
 
 
 def test_main_returns_code_without_exiting(write_doc):

@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from bezmat.errors import ConditionNotMet, InternalAssertion
+from bezmat.errors import ConditionNotMet, InternalAssertion, NotDrazinInvertible
 from bezmat.generate import (
     GenConfig,
     GeneratedTriple,
@@ -190,6 +190,27 @@ def test_gen_drazin_triple_index_is_exact(k):
     assert a @ b @ a == a @ c @ a
     assert drazin(a @ b).index == k
     assert drazin(c @ a).index <= max(k, 1)
+
+
+def test_gen_drazin_triple_does_not_retry_on_missing_drazin_inverse(monkeypatch):
+    # C@A has the Drazin inverse C @ ((A@B)^D)^2 @ A whenever A@B has one,
+    # so a NotDrazinInvertible from C@A is a fault to report, not a draw
+    # to reject
+    from bezmat import generate
+
+    calls = []
+
+    def ca_fails(x):
+        calls.append(x)
+        if len(calls) == 2:  # A@B first, then C@A
+            raise NotDrazinInvertible("injected")
+        return drazin(x)
+
+    monkeypatch.setattr(generate, "drazin", ca_fails)
+    cfg = GenConfig(ring="int", n=4, seed=1, core_rank=1, entry_bound=4)
+    with pytest.raises(NotDrazinInvertible, match="injected"):
+        gen_drazin_triple(cfg, 2, c_equals_b=False)
+    assert len(calls) == 2
 
 
 def test_generator_self_checks_survive_optimized_mode(monkeypatch):

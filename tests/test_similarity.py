@@ -21,7 +21,8 @@ from bezmat.errors import (
     NotSquare,
     RingMismatch,
 )
-from bezmat.generate import GenConfig, gen_flanders_triple
+from bezmat.generate import GenConfig, gen_drazin_triple, gen_flanders_triple
+from bezmat.ginverse import group_inverse
 from bezmat.matrix import Mat, inverse_over_ring
 from bezmat.rings import QQ, ZZ
 from bezmat.similarity import (
@@ -235,6 +236,23 @@ def test_power_witness_index_jump_fails_at_k_succeeds_at_k_plus_one():
     assert exc_info.value.side == "CA^s"
     wit = power_witness(a, b, c, 2)
     assert (a @ b) ** 2 == wit.W @ ((c @ a) ** 2) @ wit.Winv
+
+
+@pytest.mark.parametrize("ring_name", ["int", "rat", "polyrat"])
+@pytest.mark.parametrize("c_equals_b", [True, False])
+def test_power_witness_group_inverses_match_index_search(ring_name, c_equals_b):
+    # (A@B)^s takes its group inverse from (A@B)^D; the index search on
+    # each power, which power_witness no longer runs for (A@B)^s, is the
+    # reference for both sides
+    bound = 2 if ring_name == "polyrat" else 9
+    for k in (1, 2, 3):
+        cfg = GenConfig(ring=ring_name, n=k + 2, seed=16 + k, entry_bound=bound, core_rank=1)
+        a, b, c = gen_drazin_triple(cfg, k, c_equals_b)
+        for s in (max(k, 1), k + 1, k + 2):
+            wit = power_witness(a, b, c, s)
+            assert wit.Xginv == group_inverse((a @ b) ** s).ginv
+            assert wit.Yginv == group_inverse((c @ a) ** s).ginv
+            assert wit.X == wit.W @ wit.Y @ wit.Winv
 
 
 def test_power_witness_checks_shared_product():
