@@ -34,16 +34,18 @@ Instance families:
     the span of rows r.. of H1^-1, the left kernel).  Then C@A = B@A +
     Nr@A lands in the form H2^-1 @ [[K,0],[S,0]] @ H2 with K = MB@MA
     unimodular, which is always group invertible: the generator checks
-    both A@B and C@A and raises InternalAssertion if either is not.
+    (A@B)^# == H1 @ diag(MB^-1 @ MA^-1, 0) @ H1^-1 and (exchange formula)
+    (C@A)^# == C @ ((A@B)^#)^2 @ A, raising InternalAssertion if not.
 
   * gen_drazin_triple  —  A = H1 @ diag(MA, N) @ H2 with N an m x m
     nilpotent shift chain of index exactly k, B = H2^-1 @ diag(MB, I)
     @ H1^-1, so ind(A@B) = k precisely.  The kernels of A come from the
     same factors: columns r and r+k.. of H2^-1 on the right (the zero
     columns of the chain), rows r+k-1.. of H1^-1 on the left (its zero
-    rows).  C@A is always Drazin invertible (exchange formula), but when
-    C != B its index can reach k+1; instances are rejection-filtered on
-    that index so the emitted triples satisfy ind(C@A) <= max(k, 1).
+    rows).  (A@B)^D == H1 @ diag(MB^-1 @ MA^-1, 0) @ H1^-1 is checked at
+    index k.  C@A has Drazin inverse C @ ((A@B)^D)^2 @ A (exchange
+    formula), but when C != B its index can reach k+1; instances are
+    rejection-filtered on it so the triples satisfy ind(C@A) <= max(k, 1).
 
   * corollary instance makers — aligned-core triples satisfy all four
     sufficient-condition variants (engineered-true), and small frozen
@@ -62,7 +64,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 from .errors import GenerationExhausted, InternalAssertion
-from .ginverse import drazin, is_group_invertible
+from .ginverse import _drazin_index
 from .matrix import Mat, block_diag, hstack
 from .rings import Poly, get_ring
 
@@ -226,10 +228,11 @@ def random_unimodular(cfg: GenConfig, n: int | None = None) -> Mat:
 
 
 def _core_form(ring, rng, n: int, r: int):
-    """(H, Hinv, D=diag(M, 0)) with H unimodular and M unimodular r x r."""
+    """(H, Hinv, diag(M, 0), diag(M^-1, 0)) with H and the r x r M unimodular."""
     h, hinv = _random_unimodular(ring, rng, n)
-    m_core, _ = _random_unimodular(ring, rng, r)
-    return h, hinv, block_diag(m_core, Mat.zeros(ring, n - r, n - r))
+    m_core, m_inv = _random_unimodular(ring, rng, r)
+    zero = Mat.zeros(ring, n - r, n - r)
+    return h, hinv, block_diag(m_core, zero), block_diag(m_inv, zero)
 
 
 def gen_group_invertible(cfg: GenConfig) -> Mat:
@@ -238,7 +241,7 @@ def gen_group_invertible(cfg: GenConfig) -> Mat:
         raise ValueError("core_rank must not exceed n")
     ring = get_ring(cfg.ring)
     rng = SplitMix64(cfg.seed)
-    h, hinv, d = _core_form(ring, rng, cfg.n, cfg.core_rank)
+    h, hinv, d, _ = _core_form(ring, rng, cfg.n, cfg.core_rank)
     return h @ d @ hinv
 
 
@@ -266,8 +269,8 @@ def gen_flanders_triple(cfg: GenConfig, c_equals_b: bool) -> GeneratedTriple:
     ring = get_ring(cfg.ring)
     rng = SplitMix64(cfg.seed)
     n, r = cfg.n, cfg.core_rank
-    h1, h1inv, da = _core_form(ring, rng, n, r)
-    h2, h2inv, db = _core_form(ring, rng, n, r)
+    h1, h1inv, da, da_g = _core_form(ring, rng, n, r)
+    h2, h2inv, db, db_g = _core_form(ring, rng, n, r)
     a = h1 @ da @ h2
     b = h2inv @ db @ h1inv
     if c_equals_b:
@@ -279,7 +282,8 @@ def gen_flanders_triple(cfg: GenConfig, c_equals_b: bool) -> GeneratedTriple:
     ab, ca = a @ b, c @ a
     if ab @ a != a @ ca:
         raise InternalAssertion("perturbation broke A@B@A == A@C@A")
-    if not (is_group_invertible(ab) and is_group_invertible(ca)):
+    ab_g = h1 @ db_g @ da_g @ h1inv  # A@B == H1 @ diag(MA @ MB, 0) @ H1^-1
+    if _drazin_index(ab, ab_g, 1) is None or _drazin_index(ca, c @ ab_g @ ab_g @ a, 1) is None:
         raise InternalAssertion("aligned cores must make A@B and C@A group invertible")
     return GeneratedTriple(A=a, B=b, C=c, retries=0)
 
@@ -307,8 +311,8 @@ def gen_drazin_triple(cfg: GenConfig, k: int, c_equals_b: bool) -> GeneratedTrip
     for retries in range(_RETRY_BUDGET):
         h1, h1inv = _random_unimodular(ring, rng, n)
         h2, h2inv = _random_unimodular(ring, rng, n)
-        ma, _ = _random_unimodular(ring, rng, r)
-        mb, _ = _random_unimodular(ring, rng, r)
+        ma, ma_inv = _random_unimodular(ring, rng, r)
+        mb, mb_inv = _random_unimodular(ring, rng, r)
         chain = _nilpotent_chain(ring, m, k)
         a = h1 @ block_diag(ma, chain) @ h2
         b = h2inv @ block_diag(mb, Mat.identity(ring, m)) @ h1inv
@@ -322,9 +326,13 @@ def gen_drazin_triple(cfg: GenConfig, k: int, c_equals_b: bool) -> GeneratedTrip
         ab, ca = a @ b, c @ a
         if ab @ a != a @ ca:
             raise InternalAssertion("perturbation broke A@B@A == A@C@A")
-        if drazin(ab).index != k:
+        ab_d = h1 @ block_diag(mb_inv @ ma_inv, Mat.zeros(ring, m, m)) @ h1inv
+        if _drazin_index(ab, ab_d, k) != k:
             raise InternalAssertion("chain construction must give ind(A@B) == k")
-        if drazin(ca).index <= max(k, 1):
+        ca_index = _drazin_index(ca, c @ ab_d @ ab_d @ a, k + 1)
+        if ca_index is None:
+            raise InternalAssertion("exchange formula gave no Drazin inverse of C@A")
+        if ca_index <= max(k, 1):
             return GeneratedTriple(A=a, B=b, C=c, retries=retries)
     raise GenerationExhausted(
         f"no index-{k} triple after {_RETRY_BUDGET} attempts (seed {cfg.seed})"

@@ -26,13 +26,13 @@ The group inverse is the case k <= 1: X^# exists exactly when the
 search ends at k <= 1, and is then X^D.  (This factor criterion is
 equivalent to the module criterion, that X and X @ X have one column
 module; the test suite checks the two against each other.)  Each result
-is verified by the Drazin equations, which at k == 1 are the three
-group-inverse equations,
+is verified by one check, _drazin_index, of the Drazin equations
 
-    X @ D == D @ X,   D @ X @ D == D,   X^(k+1) @ D == X^k,
+    X @ D == D @ X,   D @ X @ D == D,   X^k @ (I - X @ D) == 0,
 
-and for k >= 2 by minimality, X^k @ D != X^(k-1); at index 0 the
-inversion checks itself.  A singular n x n matrix has index at most n.
+whose least k must be the index the search stopped at; at k == 1 they
+are the group equations, and at index 0 the inversion checks itself.
+A singular n x n matrix has index at most n.
 Conventions: the zero matrix has index 1 and inverse 0; a 0 x 0 matrix
 is invertible with index 0.
 
@@ -61,6 +61,8 @@ from .normal_forms import _rank_factorization, rank_factorization
 GroupInverseResult = namedtuple("GroupInverseResult", "ginv")
 DrazinResult = namedtuple("DrazinResult", "index dinv")
 CoreSplit = namedtuple("CoreSplit", "H Hinv M r")
+
+NO_GROUP_INVERSE = "column module of X differs from that of X@X and Rt@L is not invertible over the ring"
 
 
 def _index_search(x: Mat, last: int):
@@ -94,13 +96,25 @@ def _index_search(x: Mat, last: int):
         dinv = (rf.L @ core_inv @ core_inv @ rf.Rt).transpose()
         if prev is not None:
             dinv = prev @ dinv
-        xd = x @ dinv
-        if xd != dinv @ x or dinv @ xd != dinv or power @ xd != power:
-            raise InternalAssertion("Drazin candidate failed its equations")
-        if prev is not None and power @ dinv == prev:
-            raise InternalAssertion(f"Drazin index {k} is not minimal for this matrix")
+        if _drazin_index(x, dinv, k) != k:
+            raise InternalAssertion(f"Drazin candidate failed its equations at index {k}")
         return DrazinResult(index=k, dinv=dinv)
     return None
+
+
+def _drazin_index(x: Mat, d: Mat, last: int):
+    """Least k <= last with X @ D == D @ X, D @ X @ D == D and
+    X^k @ (I - X @ D) == 0, which make d the Drazin inverse of the
+    square x and k its index; None when there is no such k."""
+    xd = x @ d
+    if xd != d @ x or d @ xd != d:
+        return None
+    rest = Mat.identity(x.ring, x.n) - xd  # X^k @ (I - X @ D), from k == 0
+    for k in range(last):
+        if rest.is_zero():
+            return k
+        rest = x @ rest
+    return last if rest.is_zero() else None
 
 
 def _group_inverse_attempt(x: Mat):
@@ -112,10 +126,7 @@ def _group_inverse_attempt(x: Mat):
     except NotDrazinInvertible:
         res = None
     if res is None:
-        return None, NotGroupInvertible(
-            "column module of X differs from that of X@X and Rt@L is not "
-            "invertible over the ring"
-        )
+        return None, NotGroupInvertible(NO_GROUP_INVERSE)
     return GroupInverseResult(ginv=res.dinv), None
 
 

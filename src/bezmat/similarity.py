@@ -10,7 +10,8 @@ W over the ring.  The construction here is block-free to state and
 fully checkable at runtime:
 
   1. The shared-product identity gives the intertwining X @ A == A @ Y.
-  2. Compute group inverses X^#, Y^#.
+  2. Compute X^#.  Y^# exists exactly when C @ (X^#)^2 @ A, which the
+     exchange formula makes Y^D, passes Y's group equations.
   3. Form the core projectors P = X @ X^# and P' = Y @ Y^#, and the
      inverse candidate Q = P' @ B @ X^#.  The shared-product identity
      and the group-inverse equations give A @ Q == P and Q @ A == P'.
@@ -33,7 +34,8 @@ fully checkable at runtime:
 
 Powers reuse the construction on (A, B @ X^(s-1), Y^(s-1) @ C), whose
 products X^s, Y^s and shared-product identity follow by associativity
-unchecked; for s >= ind(X), (X^s)^# == (X^D)^s passes the group equations.
+unchecked; for s >= ind(X), (X^s)^# == (X^D)^s, and (Y^s)^# is
+(C @ (X^D)^2 @ A)^s when that passes Y^s's group equations.
 
 The construction is checked, not assumed: unequal ranks in step 4 or a
 failed step 6 raise InternalAssertion with a replayable instance dump,
@@ -54,9 +56,10 @@ from .errors import (
     IndexTooSmall,
     InternalAssertion,
     NotDrazinInvertible,
+    NotGroupInvertible,
     NotSquare,
 )
-from .ginverse import _group_inverse_attempt, drazin, group_inverse
+from .ginverse import NO_GROUP_INVERSE, _drazin_index, _group_inverse_attempt, drazin, group_inverse
 from .io import matrix_to_doc
 from .matrix import Mat, inverse_over_ring
 from .normal_forms import _rank_factorization, col_module_equal
@@ -138,15 +141,14 @@ def similarity_witness(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
 def _similarity_witness(a: Mat, b: Mat, c: Mat):
     """similarity_witness with the core projectors: (witness, (P, P'))."""
     x, y, _ = _shared_products(a, b, c)
-    res_x, fail_x = _group_inverse_attempt(x)
-    if fail_x is not None:
-        fail_x.side = "AB"
-        raise fail_x
-    res_y, fail_y = _group_inverse_attempt(y)
-    if fail_y is not None:
-        fail_y.side = "CA"
-        raise fail_y
-    return _witness_from(a, b, c, x, y, res_x.ginv, res_y.ginv)
+    res_x, _ = _group_inverse_attempt(x)
+    if res_x is None:
+        raise NotGroupInvertible(NO_GROUP_INVERSE, side="AB")
+    xg = res_x.ginv
+    yg = c @ xg @ xg @ a  # (C@A)^D by the exchange formula
+    if _drazin_index(y, yg, 1) is None:
+        raise NotGroupInvertible(NO_GROUP_INVERSE, side="CA")
+    return _witness_from(a, b, c, x, y, xg, yg)
 
 
 def _witness_from(a: Mat, b: Mat, c: Mat, x: Mat, y: Mat, xg: Mat, yg: Mat):
@@ -193,40 +195,16 @@ def verify_witness(a: Mat, b: Mat, c: Mat, w: Mat, mode: str = "product") -> boo
     if mode not in _MODES:
         raise ValueError(f"unknown mode {mode!r}; expected one of {_MODES}")
     winv = inverse_over_ring(w)
-    return _conjugations(a @ b, c @ a, w, winv, (mode,))[mode]
-
-
-def _conjugations(x, y, w, winv, modes, xg=None, yg=None, proj=None) -> dict:
-    """{mode: verify_witness(a, b, c, w, mode)} given X = A@B, Y = C@A
-    and W^-1.
-
-    Each group or Drazin inverse is computed at most once for all the
-    modes, and none at all when the group inverses xg of X and yg of Y
-    are given: they are then also X^D and Y^D, and the core X^2 @ X^#
-    is formed as X @ (X @ X^#) from the projector.  proj is the pair of
-    core projectors (X @ X^#, Y @ Y^#) when the caller has formed them.
-    """
-    ver = {}
-    for mode in modes:
-        if mode == "product":
-            lhs, rhs = x, y
-        elif mode == "core" and xg is None:
-            lhs = x @ x @ drazin(x).dinv
-            rhs = y @ y @ drazin(y).dinv
-        else:
-            if xg is None:
-                xg = group_inverse(x).ginv
-                yg = group_inverse(y).ginv
-            if mode == "ginv":
-                lhs, rhs = xg, yg
-            else:
-                if proj is None:
-                    proj = (x @ xg, y @ yg)
-                lhs, rhs = proj
-                if mode == "core":
-                    lhs, rhs = x @ lhs, y @ rhs
-        ver[mode] = lhs == w @ rhs @ winv
-    return ver
+    x, y = a @ b, c @ a
+    if mode == "product":
+        lhs, rhs = x, y
+    elif mode == "core":
+        lhs, rhs = (m @ m @ drazin(m).dinv for m in (x, y))
+    else:
+        lhs, rhs = (group_inverse(m).ginv for m in (x, y))
+        if mode == "projector":
+            lhs, rhs = x @ lhs, y @ rhs
+    return lhs == w @ rhs @ winv
 
 
 def conjugate_witnesses(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
@@ -248,11 +226,13 @@ def _derived_conjugations(a: Mat, b: Mat, c: Mat, wit: SimilarityWitness, proj) 
     """Check that the witness built from the triple also conjugates the
     group inverses, core projectors and cores of its products; proj is
     the pair of core projectors the witness was built from."""
-    ver = _conjugations(
-        wit.X, wit.Y, wit.W, wit.Winv, ("ginv", "projector", "core"), wit.Xginv, wit.Yginv, proj
-    )
-    for mode, ok in ver.items():
-        if not ok:
+    p1, p2 = proj
+    for mode, lhs, rhs in (
+        ("ginv", wit.Xginv, wit.Yginv),
+        ("projector", p1, p2),
+        ("core", wit.X @ p1, wit.Y @ p2),  # X^2 @ X^# == X @ (X @ X^#)
+    ):
+        if lhs != wit.W @ rhs @ wit.Winv:
             raise InternalAssertion(
                 f"constructed witness failed derived conjugation {mode!r}",
                 instance=_instance_dump(a, b, c, f"conjugate-{mode}"),
@@ -265,9 +245,9 @@ def power_witness(a: Mat, b: Mat, c: Mat, s: int) -> SimilarityWitness:
     Reduces to the base construction on B' = B @ (A@B)^(s-1) and
     C' = (C@A)^(s-1) @ C, whose products and shared-product identity hold
     by associativity.  The floor uses the Drazin inverse D of A@B, of
-    index k, and ((A@B)^s)^# == D^s; for C@A, s == k is attempted rather
-    than assumed, so a (C@A)-side failure at s == k surfaces as
-    NotGroupInvertible.
+    index k; ((A@B)^s)^# == D^s, and ((C@A)^s)^# == (C @ D^2 @ A)^s by
+    the exchange formula when it exists, which at s == k it may not: a
+    (C@A)-side failure surfaces as NotGroupInvertible.
     """
     return _power_witness(a, b, c, s, None, None)
 
@@ -281,26 +261,22 @@ def _power_witness(a: Mat, b: Mat, c: Mat, s: int, ab, dr_ab) -> SimilarityWitne
     k = dr_ab.index
     floor = max(k, 1)
     if s < floor:
-        raise IndexTooSmall(
-            f"s={s} is below max(index, 1)={floor}", s=s, index=k
-        )
+        raise IndexTooSmall(f"s={s} is below max(index, 1)={floor}", s=s, index=k)
     b2 = b @ x ** (s - 1)
     c2 = y ** (s - 1) @ c
     xs = a @ b2
     ys = c2 @ a
     xsg = dr_ab.dinv ** s
-    proj = xs @ xsg
-    if proj != xsg @ xs or xsg @ proj != xsg or proj @ xs != xs:
+    if _drazin_index(xs, xsg, 1) is None:
         raise InternalAssertion(
             "((A@B)^D)^s failed the group equations of (A@B)^s despite s >= index",
             instance=_instance_dump(a, b, c, f"power-ab s={s}"),
         )
-    res_cas, fail_cas = _group_inverse_attempt(ys)
-    if fail_cas is not None:
+    ysg = (c @ dr_ab.dinv @ dr_ab.dinv @ a) ** s  # ((C@A)^D)^s by the exchange formula
+    if _drazin_index(ys, ysg, 1) is None:
         # legitimately possible at s == k when index(C@A) == k + 1
-        fail_cas.side = "CA^s"
-        raise fail_cas
-    return _witness_from(a, b2, c2, xs, ys, xsg, res_cas.ginv)[0]
+        raise NotGroupInvertible(NO_GROUP_INVERSE, side="CA^s")
+    return _witness_from(a, b2, c2, xs, ys, xsg, ysg)[0]
 
 
 def cline_verify(a: Mat, b: Mat, c: Mat) -> bool:

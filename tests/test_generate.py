@@ -10,7 +10,7 @@ import json
 
 import pytest
 
-from bezmat.errors import ConditionNotMet, InternalAssertion, NotDrazinInvertible
+from bezmat.errors import ConditionNotMet, InternalAssertion
 from bezmat.generate import (
     GenConfig,
     GeneratedTriple,
@@ -24,7 +24,7 @@ from bezmat.generate import (
     random_matrix,
     random_unimodular,
 )
-from bezmat.ginverse import drazin, is_group_invertible
+from bezmat.ginverse import _drazin_index, drazin, is_group_invertible
 from bezmat.io import matrix_to_doc
 from bezmat.matrix import Mat, det, inverse_over_ring
 from bezmat.normal_forms import col_module_equal, left_kernel_basis, rank, right_kernel_basis
@@ -194,30 +194,49 @@ def test_gen_drazin_triple_index_is_exact(k):
 
 def test_gen_drazin_triple_does_not_retry_on_missing_drazin_inverse(monkeypatch):
     # C@A has the Drazin inverse C @ ((A@B)^D)^2 @ A whenever A@B has one,
-    # so a NotDrazinInvertible from C@A is a fault to report, not a draw
-    # to reject
+    # so a candidate failing the Drazin equations of C@A is a fault to
+    # report, not a draw to reject
     from bezmat import generate
 
     calls = []
 
-    def ca_fails(x):
+    def ca_fails(x, d, last):
         calls.append(x)
         if len(calls) == 2:  # A@B first, then C@A
-            raise NotDrazinInvertible("injected")
-        return drazin(x)
+            return None
+        return _drazin_index(x, d, last)
 
-    monkeypatch.setattr(generate, "drazin", ca_fails)
+    monkeypatch.setattr(generate, "_drazin_index", ca_fails)
     cfg = GenConfig(ring="int", n=4, seed=1, core_rank=1, entry_bound=4)
-    with pytest.raises(NotDrazinInvertible, match="injected"):
+    with pytest.raises(InternalAssertion, match="exchange formula"):
         gen_drazin_triple(cfg, 2, c_equals_b=False)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("ring_name", ["int", "rat", "polyrat"])
+def test_generators_check_their_construction_without_searching(ring_name, count_calls):
+    # the constructions carry A@B's inverse (H1 @ diag(MB^-1 MA^-1, 0) @
+    # H1^-1) and C@A's follows by the exchange formula, so the guards
+    # check the Drazin equations and never search for an inverse
+    bound = 2 if ring_name == "polyrat" else 9
+    counts = count_calls(
+        ("bezmat.matrix", "det"),
+        ("bezmat.normal_forms", "column_hermite"),
+        ("bezmat.ginverse", "drazin"),
+        ("bezmat.ginverse", "_group_inverse_attempt"),
+    )
+    for seed in range(3):
+        cfg = GenConfig(ring=ring_name, n=5, seed=seed, entry_bound=bound, core_rank=2)
+        gen_flanders_triple(cfg, c_equals_b=False)
+        gen_drazin_triple(cfg, 2, c_equals_b=False)
+    for name in ("det", "column_hermite", "drazin", "_group_inverse_attempt"):
+        assert counts[name] == 0, name
 
 
 def test_generator_self_checks_survive_optimized_mode(monkeypatch):
     # the generators check their own constructions with exceptions, not
     # assert statements, so the checks also run under python -O
     from bezmat import generate
-    from bezmat.ginverse import DrazinResult
 
     cfg = GenConfig(ring="int", n=4, seed=1, core_rank=1, entry_bound=4)
     with monkeypatch.context() as m:
@@ -229,11 +248,11 @@ def test_generator_self_checks_survive_optimized_mode(monkeypatch):
         with pytest.raises(InternalAssertion, match="carried unimodular inverse"):
             gen_drazin_triple(cfg, 2, c_equals_b=False)
     with monkeypatch.context() as m:
-        m.setattr(generate, "drazin", lambda x: DrazinResult(index=5, dinv=x))
+        m.setattr(generate, "_drazin_index", lambda x, d, last: 5)
         with pytest.raises(InternalAssertion, match="ind"):
             gen_drazin_triple(cfg, 2, c_equals_b=False)
     with monkeypatch.context() as m:
-        m.setattr(generate, "is_group_invertible", lambda x: False)
+        m.setattr(generate, "_drazin_index", lambda x, d, last: None)
         with pytest.raises(InternalAssertion, match="group invertible"):
             gen_flanders_triple(GenConfig(ring="int", n=4, seed=1, core_rank=2), False)
     monkeypatch.setattr(

@@ -27,6 +27,7 @@ from bezmat.generate import (
     random_matrix,
 )
 from bezmat.ginverse import (
+    _drazin_index,
     core_split,
     drazin,
     group_inverse,
@@ -342,6 +343,46 @@ def test_drazin_mixed_block():
     assert res.index == 2
     assert res.dinv == block_diag(mat([[1]]), Mat.zeros(ZZ, 2, 2))
     check_drazin_equations(x, res)
+
+
+def _drazin_index_cases(ring, t):
+    """(X, D, index) with D the Drazin inverse of X; t is a non-unit."""
+    def m(rows):
+        return Mat.from_rows(ring, rows)
+
+    chain = m([[0, t, 0], [0, 0, 1], [0, 0, 0]])
+    return [
+        (m([[1, t], [0, 1]]), m([[1, -t], [0, 1]]), 0),
+        (m([[1, t], [0, 0]]), m([[1, t], [0, 0]]), 1),
+        (Mat.zeros(ring, 2, 2), Mat.zeros(ring, 2, 2), 1),
+        (Mat.zeros(ring, 0, 0), Mat.zeros(ring, 0, 0), 0),
+        (block_diag(m([[1]]), m([[0, t], [0, 0]])), Mat.diagonal(ring, [1], 3, 3), 2),
+        (block_diag(m([[-1]]), chain), Mat.diagonal(ring, [-1], 4, 4), 3),
+    ]
+
+
+@pytest.mark.parametrize("ring,t", [(ZZ, 2), (QQX, Poly.x())], ids=["int", "polyrat"])
+def test_drazin_index_is_the_least_k_passing_the_drazin_equations(ring, t):
+    for x, d, k in _drazin_index_cases(ring, t):
+        assert drazin(x) == (k, d)
+        # the least k: a larger bound does not move it
+        assert _drazin_index(x, d, k) == k
+        assert _drazin_index(x, d, x.n + 2) == k
+        if k:
+            assert _drazin_index(x, d, k - 1) is None
+        if x.n:
+            off = d + Mat.diagonal(ring, [1], x.n, x.n)
+            assert _drazin_index(x, off, x.n + 2) is None
+
+
+@pytest.mark.parametrize("ring,t", [(ZZ, 2), (QQX, Poly.x())], ids=["int", "polyrat"])
+def test_drazin_index_needs_the_candidate_to_commute(ring, t):
+    # D @ X @ D == D and X @ (I - X @ D) == 0 hold, but X @ D != D @ X
+    x = Mat.from_rows(ring, [[1, 0], [0, 0]])
+    d = Mat.from_rows(ring, [[1, 0], [t, 0]])
+    assert d @ x @ d == d and (x - x @ x @ d).is_zero()
+    assert _drazin_index(x, d, 2) is None
+    assert _drazin_index(x, x, 2) == 1
 
 
 # ---------------------------------------------------------------------------

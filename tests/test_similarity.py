@@ -16,15 +16,23 @@ from bezmat.errors import (
     HypothesisViolated,
     IndexTooSmall,
     InternalAssertion,
+    NotDrazinInvertible,
     NotGroupInvertible,
     NotInvertibleOverRing,
     NotSquare,
     RingMismatch,
 )
-from bezmat.generate import GenConfig, gen_drazin_triple, gen_flanders_triple
-from bezmat.ginverse import group_inverse
+from bezmat.generate import (
+    GenConfig,
+    SplitMix64,
+    _random_matrix,
+    gen_drazin_triple,
+    gen_flanders_triple,
+)
+from bezmat.ginverse import drazin, group_inverse
 from bezmat.matrix import Mat, inverse_over_ring
-from bezmat.rings import QQ, ZZ
+from bezmat.normal_forms import left_kernel_basis, right_kernel_basis
+from bezmat.rings import QQ, ZZ, get_ring
 from bezmat.similarity import (
     VARIANTS,
     check_hypotheses,
@@ -255,6 +263,71 @@ def test_power_witness_group_inverses_match_index_search(ring_name, c_equals_b):
             assert wit.X == wit.W @ wit.Y @ wit.Winv
 
 
+def _outcome(make, side):
+    """("ok", Y^#) from make(), or the refusal's (type, side, message),
+    naming side when the refusal does not name one."""
+    try:
+        return "ok", make()
+    except NotGroupInvertible as exc:
+        return type(exc).__name__, exc.side or side, str(exc)
+
+
+def _kernel_perturbed_triples(ring_name, count):
+    """count triples (A, B, B + N) with A of rank 1..n-1 for n = 2..4 and
+    A @ N @ A == 0, N drawn from A's right and left kernel bases."""
+    ring = get_ring(ring_name)
+    for i in range(count):
+        n = 2 + i % 3
+        rng = SplitMix64(7919 * n + i // 3)
+        r = 1 + rng.below(n - 1)
+        a = _random_matrix(ring, rng, n, r, 1) @ _random_matrix(ring, rng, r, n, 1)
+        b = _random_matrix(ring, rng, n, n, 1)
+        right, left = right_kernel_basis(a), left_kernel_basis(a)
+        noise = right @ _random_matrix(ring, rng, right.n, n, 1)
+        yield a, b, b + noise + _random_matrix(ring, rng, n, left.m, 1) @ left
+
+
+def _generated_triples():
+    for ring_name in ("int", "rat", "polyrat"):
+        bound = 2 if ring_name == "polyrat" else 9
+        for seed in range(3):
+            for n in (3, 4):
+                cfg = GenConfig(ring=ring_name, n=n, seed=seed, entry_bound=bound, core_rank=n - 2)
+                yield gen_flanders_triple(cfg, c_equals_b=bool(seed % 2))
+                yield gen_drazin_triple(cfg, 2, c_equals_b=bool(seed % 2))
+
+
+def test_exchange_formula_inverses_match_index_search():
+    # similarity_witness and power_witness take (C@A)^# and ((C@A)^s)^#
+    # from (A@B)'s inverse by the exchange formula; the index search on
+    # C@A and (C@A)^s is the reference for every inverse and refusal
+    triples = [
+        *_generated_triples(),
+        *_kernel_perturbed_triples("int", 900),
+        *_kernel_perturbed_triples("rat", 300),
+    ]
+    refusals = {"CA": 0, "CA^s": 0}
+    for a, b, c in triples:
+        x, y = a @ b, c @ a
+        try:
+            group_inverse(x)
+        except NotGroupInvertible:
+            pass
+        else:
+            got = _outcome(lambda: similarity_witness(a, b, c).Yginv, None)
+            assert got == _outcome(lambda: group_inverse(y).ginv, "CA")
+            refusals["CA"] += got[0] != "ok"
+        try:
+            k = drazin(x).index
+        except NotDrazinInvertible:
+            continue
+        for s in (max(k, 1), max(k, 1) + 1):
+            got = _outcome(lambda: power_witness(a, b, c, s).Yginv, None)
+            assert got == _outcome(lambda: group_inverse(y ** s).ginv, "CA^s")
+            refusals["CA^s"] += got[0] != "ok"
+    assert min(refusals.values()) >= 20, refusals
+
+
 def test_power_witness_checks_shared_product():
     a, b, c = mat(BAD_A), mat(BAD_B), mat(BAD_C)
     with pytest.raises(HypothesisViolated):
@@ -295,6 +368,19 @@ def test_check_hypotheses_reports():
     assert rep3.aba_equals_aca
     assert rep3.ab_group_invertible
     assert not rep3.ca_group_invertible
+
+
+def test_reports_give_the_ca_flag_when_ab_has_no_group_inverse():
+    # A@B is nilpotent of index 2 while C@A == 0: the reports search C@A
+    # on its own rather than derive it from an A@B inverse that is missing
+    a, b = mat([[0, 1], [0, 0]]), mat([[0, 0], [0, 1]])
+    rep = check_hypotheses(a, b, b)
+    assert rep.aba_equals_aca
+    assert not rep.ab_group_invertible and rep.ca_group_invertible
+    with pytest.raises(ConditionNotMet) as exc_info:
+        corollary_check(a, b, b, "cor22")
+    rep = exc_info.value.report
+    assert not rep.ab_group_invertible and rep.ca_group_invertible
 
 
 def test_corollary_check_true_on_all_variants():
