@@ -19,12 +19,14 @@ A == U @ S @ V with S diagonal, each diagonal entry canonical and
 dividing the next.
 
 Every elimination step is unimodular, so every accumulated transform
-has unit determinant by construction.  Both forms use swaps, scaling by
-a unit (over the polynomials also to a primitive line,
-``ring.primitive``), and shears by remainder quotients
-(``ring.small_quotient``) in one remainder loop, ``_remainder_loop``;
-the Hermite form then reduces left of each pivot by
-``ring.pivot_reduce``.  Neither calls xgcd.
+has unit determinant by construction.  Both forms come from one
+elimination, ``_echelon``: swaps, scaling by a unit (over the
+polynomials also to a primitive line, ``ring.primitive``), shears by
+remainder quotients (``ring.small_quotient``) in ``_remainder_loop``,
+and reduction left of each pivot by ``ring.pivot_reduce``.  The column
+Hermite form is one pass of it over the columns; the Smith form
+alternates passes over columns and rows, as Kannan and Bachem do with
+Hermite forms.  Neither calls xgcd.
 """
 
 from __future__ import annotations
@@ -116,18 +118,55 @@ def _shear(lines, co, j, p, q, i):
             cdst[r] += q * y
 
 
+def _echelon(ring, lines, depth, co):
+    """Bring lines to the column Hermite conventions on their first depth
+    entries, and return the pivot entries.
+
+    Entry i is cleared in the lines k.. not yet reduced by
+    ``_remainder_loop``; the line left moves to k, is scaled to the
+    canonical associate, and entry i of the lines to its left is reduced
+    by ``ring.pivot_reduce``.  Each swap and scaling also applies to the
+    paired co-lines ``co``, with the inverse scaling, as ``_shear`` and
+    ``_remainder_loop`` do.  Lines k.. are zero before entry i, so every
+    step starts there.
+    """
+    z, one = ring.zero, ring.one
+    pivots = []
+    k = 0
+    for i in range(depth):
+        if k == len(lines):
+            break
+        live = [j for j in range(k, len(lines)) if lines[j][i] != z]
+        if not live:
+            continue
+        p = _remainder_loop(ring, lines, live, i, co)
+        lines[k], lines[p] = lines[p], lines[k]
+        co[k], co[p] = co[p], co[k]
+        line = lines[k]
+        unit, _ = ring.canonicalize(line[i])
+        if unit != one:
+            c = ring.unit_inverse(unit)
+            for r in range(i, len(line)):
+                line[r] = c * line[r]
+            co[k] = [unit * y for y in co[k]]
+        piv = line[i]
+        for j in range(k):
+            x = lines[j][i]
+            if x != z:
+                q, _ = ring.pivot_reduce(x, piv)
+                if q != z:
+                    _shear(lines, co, j, k, q, i)
+        pivots.append(i)
+        k += 1
+    return pivots
+
+
 def column_hermite(a: Mat) -> HermiteResult:
     """A @ T == H with H the canonical column form and T unimodular.
 
-    Pivot row i is cleared in the columns k.. not yet reduced by
-    ``_remainder_loop``; the column left moves to k, is scaled to the
-    canonical associate, and the entries to its left are reduced by
-    ``ring.pivot_reduce``.
-
-    The work is done on columns of H stacked on the columns of T, so a
-    column step is one line step, and no opposite transform is kept (the
-    co-lines are empty).  Columns k.. of H are zero above row i, so every
-    step starts at row i.
+    ``_echelon`` works on the columns of H stacked on the columns of T, so
+    a column step is one line step, and no opposite transform is kept (the
+    co-lines are empty).
     """
     ring = a.ring
     m, n = a.m, a.n
@@ -135,35 +174,7 @@ def column_hermite(a: Mat) -> HermiteResult:
     C = [list(c) for c in zip(*a.rows)] if m else [[] for _ in range(n)]
     for j, col in enumerate(C):
         col.extend(one if r == j else z for r in range(n))
-    height = m + n
-    no_co = [[]] * n
-
-    pivot_rows = []
-    k = 0
-    for i in range(m):
-        if k == n:
-            break
-        live = [j for j in range(k, n) if C[j][i] != z]
-        if not live:
-            continue
-        p = _remainder_loop(ring, C, live, i, no_co)
-        C[k], C[p] = C[p], C[k]
-        unit, _ = ring.canonicalize(C[k][i])
-        if unit != one:
-            c = ring.unit_inverse(unit)
-            ck = C[k]
-            for r in range(i, height):
-                ck[r] = c * ck[r]
-        piv = C[k][i]
-        for j in range(k):
-            x = C[j][i]
-            if x != z:
-                q, _ = ring.pivot_reduce(x, piv)
-                if q != z:
-                    _shear(C, no_co, j, k, q, i)
-        pivot_rows.append(i)
-        k += 1
-
+    pivot_rows = _echelon(ring, C, m, [[]] * n)
     rows = tuple(zip(*C)) if n else ((),) * m
     return HermiteResult(
         H=Mat._raw(ring, m, n, rows[:m]),
@@ -184,46 +195,25 @@ def rank(a: Mat) -> int:
     return len(column_hermite(a).pivot_rows)
 
 
-def _least_entry(S, t, ring):
-    """(i, j) of the first nonzero S[i][j] with i, j >= t, row by row, of
-    least ring.size, or None.  The scan stops at an entry of the size of
-    one, since no nonzero element is smaller."""
-    z = ring.zero
-    size = ring.size
-    least = size(ring.one)
-    best = where = None
-    for i in range(t, len(S)):
-        row = S[i]
-        for j in range(t, len(row)):
-            x = row[j]
-            if x != z:
-                s = size(x)
-                if s == least:
-                    return i, j
-                if best is None or s < best:
-                    best, where = s, (i, j)
-    return where
-
-
 def smith(a: Mat) -> SmithResult:
     """Smith form A == U @ S @ V with the divisibility chain canonical.
 
-    Starting from U = I, S = A, V = I, every row step on S applies its
-    inverse as a column step on U, and every column step on S applies its
-    inverse as a row step on V, so U @ S @ V == A holds throughout.
+    Starting from U = I, S = A, V = I, every column step on S applies its
+    inverse as a row step on V, and every row step on S applies its
+    inverse as a column step on U, so U @ S @ V == A holds throughout.
 
-    S is held as its rows, paired with the columns of U, or as its
-    columns, paired with the rows of V; one orientation is the other's
-    transpose, so ``_remainder_loop`` does the row steps in the first and
-    the column steps in the second.  Pivot t starts on the rows, with the
-    entry of least ``ring.size`` moved to (t, t).  The loop clears entry t
-    of the lines t.. and the line left moves to t.  While line t has a
-    nonzero entry past t, S is transposed and cleared again; a refill
-    needs a strictly smaller pivot, so this ends.  A pivot that does not
-    divide an entry of the lines past t takes in that entry's line, and
-    the clearing repeats with the gcd as pivot.  There is no xgcd 2x2
-    block: its cofactors, as large as the entries, multiplied whole rows
-    and columns, and U reached 854,935 bits at n = 32.
+    Kannan and Bachem's route (SIAM J. Comput. 8, 1979): S alternates
+    between column and row Hermite forms, each one pass of ``_echelon``.
+    S is held as its columns, paired with the rows of V, and a pass leaves
+    it in column form; unless S is then diagonal, it is transposed, so its
+    lines are its rows, paired with the columns of U, and the next pass
+    takes the row form.  From pass to pass the pivot at t can only turn
+    into a proper divisor of itself, and a pass that keeps it leaves row
+    and column t clear for good, so the passes end.  When S is diagonal
+    but d[t] does not divide d[t + 1], line t takes in line t + 1 and the
+    next pass puts their gcd at t.  There is no xgcd 2x2 block: its
+    cofactors, as large as the entries, multiplied whole rows and
+    columns, and U reached 854,935 bits at n = 32.
 
     The result is checked before it is returned: S must equal diag(d)
     padded with zeros, d being its r nonzero diagonal entries, and
@@ -233,59 +223,25 @@ def smith(a: Mat) -> SmithResult:
     ring = a.ring
     m, n = a.m, a.n
     z, one = ring.zero, ring.one
-    S = [list(row) for row in a.rows]
-    co = [[one if i == j else z for i in range(m)] for j in range(m)]  # columns of U
-    other = [[one if i == j else z for j in range(n)] for i in range(n)]  # rows of V
+    S = [[row[j] for row in a.rows] for j in range(n)]  # columns of S
+    co = [[one if i == j else z for j in range(n)] for i in range(n)]  # rows of V
+    other = [[one if i == j else z for i in range(m)] for j in range(m)]  # columns of U
+    depth = m
     flipped = False
-
-    def swap(i0, i1):
-        S[i0], S[i1] = S[i1], S[i0]
-        co[i0], co[i1] = co[i1], co[i0]
-
-    def flip():
-        nonlocal S, co, other, flipped
-        S = [list(c) for c in zip(*S)]
+    while True:
+        _echelon(ring, S, depth, co)
+        if all(not x for k, line in enumerate(S) for i, x in enumerate(line) if i != k):
+            d = [line[k] for k, line in enumerate(S[:depth]) if line[k]]
+            t = next((t for t in range(len(d) - 1) if not ring.divides(d[t], d[t + 1])), None)
+            if t is None:
+                break
+            _shear(S, co, t, t + 1, -one, 0)
+        S, depth = [[line[i] for line in S] for i in range(depth)], len(S)
         co, other = other, co
         flipped = not flipped
-
-    t = 0
-    limit = min(m, n)
-    while t < limit:
-        where = _least_entry(S, t, ring)
-        if where is None:
-            break
-        i, j = where
-        swap(t, i)
-        for line in S:
-            line[t], line[j] = line[j], line[t]
-        other[t], other[j] = other[j], other[t]
-        while True:
-            live = [j for j in range(t, len(S)) if S[j][t]]
-            if live != [t]:
-                swap(t, _remainder_loop(ring, S, live, t, co))
-            if any(S[t][t + 1:]):
-                # clear line t from the other side
-                flip()
-                continue
-            piv = S[t][t]
-            # the line of an entry the pivot does not divide (a unit pivot
-            # divides every entry); line t takes it in and is cleared again
-            j = None if ring.is_unit(piv) else next(
-                (i for i in range(t + 1, len(S)) for x in S[i][t + 1:] if x and not ring.divides(piv, x)),
-                None,
-            )
-            if j is None:
-                break
-            _shear(S, co, t, j, -one, t)
-        unit, _ = ring.canonicalize(piv)
-        if unit != one:
-            c = ring.unit_inverse(unit)
-            S[t] = [c * x for x in S[t]]
-            co[t] = [unit * y for y in co[t]]
-        if flipped:
-            flip()
-        t += 1
-
+    if not flipped:  # back to the rows of S, paired with the columns of U
+        S = [[line[i] for line in S] for i in range(depth)]
+        co, other = other, co
     U = tuple(zip(*co)) if m else ()
     result = SmithResult(
         U=Mat._raw(ring, m, m, U),

@@ -128,7 +128,8 @@ def test_column_hermite_is_fast_on_large_random_integer_matrices(n, seed):
     # as the entries; with them, n = 32 seed 32 took 19 s in column_hermite,
     # and in smith 14.7 s (U of 854,935 bits), and n = 48 did not finish
     # smith in 90 s.  The remainder loop takes well under a second on each
-    # of these, and keeps U within 10x and V within 2x of the Hadamard bound.
+    # of these.  Smith by alternating Hermite passes keeps U and V within
+    # the Hadamard bound; a pivot loop of its own let U reach 9x at n = 48.
     rng = random.Random(seed)
     x = mat([[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)])
     start = time.perf_counter()
@@ -141,8 +142,8 @@ def test_column_hermite_is_fast_on_large_random_integer_matrices(n, seed):
     assert time.perf_counter() - start < 5.0
     assert sr.rank == n
     bound = _hadamard_bits(x)
-    assert _max_bits(sr.U) <= 10 * bound
-    assert _max_bits(sr.V) <= 2 * bound
+    assert _max_bits(sr.U) <= bound
+    assert _max_bits(sr.V) <= bound
 
 
 @pytest.mark.parametrize(
@@ -263,81 +264,35 @@ def test_smith_poly_cases():
     assert smith(c).diagonal() == (x,)
 
 
-def _full_scan(S, t, ring):
-    # the pivot search without the early stop at an entry of the size of one
-    best = where = None
-    for i in range(t, len(S)):
-        for j in range(t, len(S[i])):
-            if S[i][j] != ring.zero and (best is None or ring.size(S[i][j]) < best):
-                best, where = ring.size(S[i][j]), (i, j)
-    return where
-
-
-def _smith_inputs(ring_name, bound, sizes):
-    xs = []
-    for seed, (m, n) in enumerate(sizes):
-        cfg = GenConfig(ring=ring_name, n=n, seed=seed, entry_bound=bound)
-        xs.append(random_matrix(cfg, m=m, n=n))
-        r = max(1, min(m, n) - 1)  # a rank-deficient product
-        left = random_matrix(GenConfig(ring=ring_name, seed=1000 + seed, entry_bound=bound), m=m, n=r)
-        xs.append(left @ random_matrix(GenConfig(ring=ring_name, seed=2000 + seed, entry_bound=bound), m=r, n=n))
-    return xs
-
-
-@pytest.mark.parametrize(
-    "ring,bound,sizes",
-    [
-        (ZZ, 9, [(m, n) for m in range(1, 7) for n in range(1, 7)]),
-        (QQ, 5, [(m, n) for m in range(1, 5) for n in range(1, 5)]),
-        (QQX, 2, [(m, n) for m in range(1, 4) for n in range(1, 5)]),
-    ],
-)
-def test_smith_shortcuts_leave_u_s_v_unchanged(monkeypatch, ring, bound, sizes):
-    # Smith stops its pivot search at an entry of the size of one and
-    # skips the divisibility scan for a unit pivot; with both shortcuts
-    # off, U, S and V must come out exactly the same.
-    xs = _smith_inputs(ring.name, bound, sizes)
-    fast = [smith(x) for x in xs]
-    monkeypatch.setattr(normal_forms, "_least_entry", _full_scan)
-    monkeypatch.setattr(ring, "is_unit", lambda a: False)
-    for x, got in zip(xs, fast):
-        want = smith(x)
-        assert (got.U.rows, got.S.rows, got.V.rows) == (want.U.rows, want.S.rows, want.V.rows)
-
-
 def test_smith_checks_catch_a_wrong_elimination(monkeypatch):
     # Each final check of smith fires on the output of an elimination
-    # broken through the remainder loop or one ring primitive, and each
-    # broken run still ends.
-    remainder_loop = normal_forms._remainder_loop
-
-    def first_line_left(ring, lines, live, i, co):
-        # clears entry i, but reports the first line as the one left
-        remainder_loop(ring, lines, live, i, co)
-        return live[0]
-
+    # broken through one pass or one ring primitive, and each broken run
+    # still ends.
     with monkeypatch.context() as mp:
-        # the line that keeps the gcd stays off the diagonal
-        mp.setattr(normal_forms, "_remainder_loop", first_line_left)
+        # passes that do nothing leave diag(0, 3) with its zero first
+        mp.setattr(normal_forms, "_echelon", lambda ring, lines, depth, co: [])
         with pytest.raises(InternalAssertion, match="Smith form is not diagonal"):
-            smith(mat([[2, 3]]))
+            smith(mat([[0, 0], [0, 3]]))
     with monkeypatch.context() as mp:
-        # the sign of S's row stays while U's column is negated
+        # the sign of S's line stays while V's row is negated
         mp.setattr(ZZ, "unit_inverse", lambda u: 1)
         with pytest.raises(InternalAssertion, match="Smith transform reconstruction failed"):
             smith(mat([[-2]]))
     with monkeypatch.context() as mp:
-        # a primitive unit that S's rows never see scales U's columns
+        # a primitive unit that S's lines never see scales their co-lines
         mp.setattr(ZZ, "primitive", lambda entries: (-1, entries))
         with pytest.raises(InternalAssertion, match="Smith transform reconstruction failed"):
             smith(mat([[2, 3], [4, 5]]))
     with monkeypatch.context() as mp:
-        # no pivot is repaired, so diag(2, 3) stays as it is
-        mp.setattr(ZZ, "is_unit", lambda a: True)
+        # the loop's own chain test is told once that 2 divides 3, so
+        # diag(2, 3) is returned as it is
+        answers = iter([True])
+        divides = ZZ.divides
+        mp.setattr(ZZ, "divides", lambda b, a: next(answers, None) or divides(b, a))
         with pytest.raises(InternalAssertion, match="divisibility chain"):
             smith(mat([[2, 0], [0, 3]]))
     assert smith(mat([[2, 0], [0, 3]])).diagonal() == (1, 6)
-    assert smith(mat([[2, 3]])).diagonal() == (1,)
+    assert smith(mat([[0, 0], [0, 3]])).diagonal() == (3,)
 
 
 def test_rat_field_forms_are_trivial():
