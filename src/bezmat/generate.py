@@ -10,8 +10,9 @@ language.  The full algorithm, so it can be reimplemented elsewhere:
     z <- (z XOR (z >> 27)) * 0x94D049BB133111EB  mod 2^64
     output: z XOR (z >> 31)
 
-``SplitMix64.ints(count, lo, hi)`` draws in one loop the same stream,
-leaving the same state, as ``count`` calls of ``int_in(lo, hi)``.
+Draws are computed in blocks, the states state + k * 0x9E3779B97F4A7C15
+(k = 1..count) in 128-bit lanes of one integer.  The stream, and
+``state`` after every draw, are exactly those of the algorithm above.
 
 Unimodular factors carry their inverses: each elementary step on the
 rows of H is applied inverted to the columns of H^-1 (row i += c * row
@@ -60,6 +61,7 @@ coefficients of polynomials.
 
 from __future__ import annotations
 
+import struct
 from collections import namedtuple
 from fractions import Fraction
 
@@ -74,19 +76,48 @@ _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
+_FIRST_BLOCK, _MAX_BLOCK = 4, 256
+_lanes = (0, 0, 0, 0)  # (lanes, ONES, GAMMA * STEPS, LOW64) of the widest block built
 
 
 class SplitMix64:
-    """Deterministic 64-bit generator (constants above)."""
+    """Deterministic 64-bit generator (constants above); draws pop a buffer."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
+        self.state = seed
+
+    @property
+    def state(self) -> int:
+        return (self._end - _GAMMA * len(self._buf)) & _MASK
+
+    @state.setter
+    def state(self, value: int):
+        self._end, self._buf, self._block = value & _MASK, [], _FIRST_BLOCK
+
+    def _refill(self, need: int) -> None:
+        """Put the next max(need, block) outputs under the pending ones, last first."""
+        global _lanes
+        lanes, count = _lanes, max(need, self._block)  # read once: another thread may rebuild it
+        self._block = min(2 * self._block, _MAX_BLOCK)
+        fmt = "<" + "Q8x" * count  # the low 64 bits of each 128-bit lane
+        if count > lanes[0]:  # lane i of ONES holds 1, of STEPS i + 1
+            ones = int.from_bytes(struct.pack(fmt, *[1] * count), "little")
+            steps = int.from_bytes(struct.pack(fmt, *range(1, count + 1)), "little")
+            _lanes = lanes = (count, ones, steps * _GAMMA, ones * _MASK)
+        cut = (1 << (128 * count)) - 1
+        ones, steps, low = lanes[1] & cut, lanes[2] & cut, lanes[3] & cut
+        end = self._end + _GAMMA * count
+        z = ((end + _GAMMA) * ones - steps) & low  # lane i: state + GAMMA * (count - i)
+        z = ((z ^ (z >> 30)) & low) * _MIX1 & low
+        z = ((z ^ (z >> 27)) & low) * _MIX2 & low
+        z ^= z >> 31
+        self._buf[:0] = struct.unpack(fmt, z.to_bytes(16 * count, "little"))
+        self._end = end & _MASK
 
     def next_u64(self) -> int:
-        z = self.state = (self.state + _GAMMA) & _MASK
-        z = ((z ^ (z >> 30)) * _MIX1) & _MASK
-        z = ((z ^ (z >> 27)) * _MIX2) & _MASK
-        return z ^ (z >> 31)
+        if not self._buf:
+            self._refill(1)
+        return self._buf.pop()
 
     def below(self, n: int) -> int:
         """Uniform-ish integer in [0, n); n >= 1."""
@@ -97,14 +128,12 @@ class SplitMix64:
 
     def ints(self, count: int, lo: int, hi: int) -> list:
         """[int_in(lo, hi) for _ in range(count)], leaving the same state."""
-        span, s, gamma, mix1, mix2, mask = hi - lo + 1, self.state, _GAMMA, _MIX1, _MIX2, _MASK
-        out = []
-        for _ in range(count):
-            s = (s + gamma) & mask
-            z = ((s ^ (s >> 30)) * mix1) & mask
-            z = ((z ^ (z >> 27)) * mix2) & mask
-            out.append(lo + (z ^ (z >> 31)) % span)
-        self.state = s
+        buf = self._buf
+        if len(buf) < count:
+            self._refill(count - len(buf))
+        span = hi - lo + 1
+        out = [lo + z % span for z in buf[:-count - 1:-1]]
+        del buf[len(buf) - count:]
         return out
 
     def choice(self, seq):

@@ -102,11 +102,12 @@ def _index_search(x: Mat, last: int):
     return None
 
 
-def _drazin_index(x: Mat, d: Mat, last: int):
+def _drazin_index(x: Mat, d: Mat, last: int, xd: Mat | None = None):
     """Least k <= last with X @ D == D @ X, D @ X @ D == D and
     X^k @ (I - X @ D) == 0, which make d the Drazin inverse of the
-    square x and k its index; None when there is no such k."""
-    xd = x @ d
+    square x and k its index; None when there is no such k.  xd is
+    X @ D when the caller has already formed it."""
+    xd = x @ d if xd is None else xd
     if xd != d @ x or d @ xd != d:
         return None
     rest = Mat.identity(x.ring, x.n) - xd  # X^k @ (I - X @ D), from k == 0

@@ -184,7 +184,8 @@ def test_witness_derives_each_inverse_once(write_doc, count_calls):
     assert counts["column_hermite"] <= 3
     assert counts["smith"] == 0
     assert counts["drazin"] == 0
-    assert counts["__matmul__"] <= 37
+    # Y@Y^# is formed once, by the check of Y^#, and handed to the witness
+    assert counts["__matmul__"] <= 36
     counts.clear()
     code, doc = run_json(["check", *files, "--variant", "cor22"])
     assert code == 0 and all(doc["witness"]["verified"].values())
@@ -223,7 +224,8 @@ def test_drazin_verbs_derive_each_inverse_once(write_doc, count_calls, verb, dra
         assert counts["_group_inverse_attempt"] == 0
         assert counts["det"] <= 1
         assert counts["column_hermite"] <= 4
-        assert counts["__matmul__"] <= 43
+        # the core projectors are formed once each, by the group checks
+        assert counts["__matmul__"] <= 41
     assert counts["drazin"] == drazin_calls
 
 

@@ -7,6 +7,7 @@ of the generator can be validated against the same constants.
 
 import hashlib
 import json
+import random
 
 import pytest
 
@@ -14,6 +15,8 @@ from bezmat.errors import ConditionNotMet, InternalAssertion
 from bezmat.generate import (
     GenConfig,
     GeneratedTriple,
+    _FIRST_BLOCK,
+    _MAX_BLOCK,
     SplitMix64,
     _random_unimodular,
     gen_corollary_false,
@@ -52,12 +55,60 @@ def test_splitmix64_seed_masking():
     assert SplitMix64(1 << 64).next_u64() == SplitMix64(0).next_u64()
 
 
-@pytest.mark.parametrize("count", [0, 1, 2, 50])
+class ScalarSplitMix64:
+    """The generate module docstring's algorithm, one output per step:
+    the reference that SplitMix64's block draws must reproduce."""
+
+    def __init__(self, seed):
+        self.state = seed % 2**64
+
+    def next_u64(self):
+        self.state = (self.state + 0x9E3779B97F4A7C15) % 2**64
+        z = self.state
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) % 2**64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) % 2**64
+        return z ^ (z >> 31)
+
+    def below(self, n):
+        return self.next_u64() % n
+
+    def int_in(self, lo, hi):
+        return lo + self.next_u64() % (hi - lo + 1)
+
+    def ints(self, count, lo, hi):
+        return [self.int_in(lo, hi) for _ in range(count)]
+
+    def choice(self, seq):
+        return seq[self.below(len(seq))]
+
+
+# counts around the first block and the block cap, and the draws of a
+# 48 x 48 integer matrix
+COUNTS = [0, 1, 2, 50, _FIRST_BLOCK - 1, _FIRST_BLOCK, _FIRST_BLOCK + 1, _MAX_BLOCK + 1, 2304]
+
+
+@pytest.mark.parametrize("count", COUNTS)
 @pytest.mark.parametrize("lo, hi", [(-9, 9), (1, 1), (0, 1 << 70)], ids=["entries", "one-value", "wide"])
 def test_splitmix64_ints_is_repeated_int_in(count, lo, hi):
-    batched, single = SplitMix64(2024), SplitMix64(2024)
-    assert batched.ints(count, lo, hi) == [single.int_in(lo, hi) for _ in range(count)]
-    assert batched.state == single.state
+    # ints(count, ...) is count calls of int_in, and every draw method, in
+    # any interleaving and across block refills, hands out the outputs and
+    # leaves the state of the scalar algorithm
+    for seed in (0, 2**64 - 1, 2**64 + 5):
+        batched, single = SplitMix64(seed), ScalarSplitMix64(seed)
+        assert batched.ints(count, lo, hi) == [single.int_in(lo, hi) for _ in range(count)]
+        assert batched.state == single.state
+        pick = random.Random(f"{seed} {count} {lo} {hi}")
+        for _ in range(30):
+            name = pick.choice(("next_u64", "below", "int_in", "choice", "ints"))
+            args = {
+                "next_u64": (),
+                "below": (pick.randint(1, 40),),
+                "int_in": (lo, hi),
+                "choice": ("abcdefg"[:pick.randint(1, 7)],),
+                "ints": (pick.choice(COUNTS), lo, hi),
+            }[name]
+            assert getattr(batched, name)(*args) == getattr(single, name)(*args), (name, args)
+            assert batched.state == single.state, (name, args)
 
 
 @pytest.mark.parametrize("ring_name", ["int", "rat", "polyrat"])
@@ -310,11 +361,14 @@ def test_gen_config_round_trip_dict():
 # sha256 of the matrix_to_doc JSON of one instance per family and ring,
 # recorded before the batched draws and carried inverses went in; the
 # C != B rows (c_equals_b=False and the Drazin rows) re-recorded when the
-# perturbations began to take ker A from the construction's factors.  Any
-# change to the stream, the draw order or the constructions shows here.
+# perturbations began to take ker A from the construction's factors.  The
+# 48 x 48 and 8 x 8 matrices, which span many generator blocks, were
+# recorded before the draws were computed in blocks.  Any change to the
+# stream, the draw order or the constructions shows here.
 REPLAY_DIGESTS = {
     ('int', 'random_matrix'): '95c27daa6e55185f7e9f6d12ce8c85a351c25868ec5afbc2121d159149f4e6b4',
     ('int', 'random_matrix 2x5'): 'bcb4de0bcc3477d1c48323268db1cff3bff3de0734faa447713b00381929c766',
+    ('int', 'random_matrix 48x48'): 'feebf579522424982de87084a5b45d047635e0a786f2afb8ca2351c6fa55e202',
     ('int', 'random_unimodular'): '3d9d23b460f528b862491b32bdc9faee379fdfbf872e57d5e0c4657960778a8f',
     ('int', 'gen_group_invertible'): 'c2c99d78b502752adcf91b04b200a764daf6f65b892f264fc75f89b76d7f5e5b',
     ('int', 'gen_flanders_triple c_equals_b=True'): '0cc9071a042c161804a1dfa5f1b7bdf07ba7e7a336dd8c75518d0c21d0d88d25',
@@ -337,6 +391,7 @@ REPLAY_DIGESTS = {
     ('rat', 'gen_drazin_triple k=3'): 'ad39366c854a212cb3a57572ec8d509956b1230fd524a8f04f5bc3a1004f4ffd',
     ('polyrat', 'random_matrix'): '923e146a4e8e9a48f9fd03da9a00e9933a1fa16564040a7f117e4e37532d46e5',
     ('polyrat', 'random_matrix 2x5'): '49ae70fa9107cce0ac5014e9baf316015ceb5b119440b4f62016a0935ce04ba1',
+    ('polyrat', 'random_matrix 8x8'): '1ef49fcab2816d4eaa483baada86d232179c95fa8378b1f5edfb98e608b9dbb0',
     ('polyrat', 'random_unimodular'): '137cd54cd674c4e1f3c1091a6a3dc74a6716eb6755f534ca8833d49089e7f925',
     ('polyrat', 'gen_group_invertible'): '185180a8986e7d8340653502816aca85e3636b7658486d32f94dcafaaecea163',
     ('polyrat', 'gen_flanders_triple c_equals_b=True'): '8bd6202035d40c26cc2eb95e4b7a6e8b975a082b33215eceafef179346ec0f01',
@@ -360,6 +415,11 @@ def _replay_instances(ring_name):
 
     yield "random_matrix", random_matrix(cfg(4, 11))
     yield "random_matrix 2x5", random_matrix(cfg(4, 12), m=2, n=5)
+    # many generator blocks: 2,304 draws over Z, a few hundred over Q[x]
+    if ring_name == "int":
+        yield "random_matrix 48x48", random_matrix(GenConfig(ring="int", n=48, seed=21, entry_bound=9))
+    if ring_name == "polyrat":
+        yield "random_matrix 8x8", random_matrix(GenConfig(ring="polyrat", n=8, seed=22, entry_bound=9))
     yield "random_unimodular", random_unimodular(cfg(5, 13))
     yield "gen_group_invertible", gen_group_invertible(cfg(4, 14, 2))
     for c_equals_b in (True, False):
