@@ -77,7 +77,10 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 _MASK = (1 << 64) - 1
 _FIRST_BLOCK, _MAX_BLOCK = 4, 256
-_lanes = (0, 0, 0, 0)  # (lanes, ONES, GAMMA * STEPS, LOW64) of the widest block built
+# lane i of ONES holds 1, of STEPS i + 1, over the widest block; a block masks them down
+_ONES, _STEPS = (int.from_bytes(struct.pack("<" + "Q8x" * _MAX_BLOCK, *v), "little")
+                 for v in ([1] * _MAX_BLOCK, range(1, _MAX_BLOCK + 1)))
+_GAMMA_STEPS, _LOW64 = _GAMMA * _STEPS, _MASK * _ONES
 
 
 class SplitMix64:
@@ -95,23 +98,19 @@ class SplitMix64:
         self._end, self._buf, self._block = value & _MASK, [], _FIRST_BLOCK
 
     def _refill(self, need: int) -> None:
-        """Put the next max(need, block) outputs under the pending ones, last first."""
-        global _lanes
-        lanes, count = _lanes, max(need, self._block)  # read once: another thread may rebuild it
+        """Load the next min(max(need, block), _MAX_BLOCK) outputs into the
+        empty buffer, last first."""
+        count = min(max(need, self._block), _MAX_BLOCK)
         self._block = min(2 * self._block, _MAX_BLOCK)
-        fmt = "<" + "Q8x" * count  # the low 64 bits of each 128-bit lane
-        if count > lanes[0]:  # lane i of ONES holds 1, of STEPS i + 1
-            ones = int.from_bytes(struct.pack(fmt, *[1] * count), "little")
-            steps = int.from_bytes(struct.pack(fmt, *range(1, count + 1)), "little")
-            _lanes = lanes = (count, ones, steps * _GAMMA, ones * _MASK)
         cut = (1 << (128 * count)) - 1
-        ones, steps, low = lanes[1] & cut, lanes[2] & cut, lanes[3] & cut
-        end = self._end + _GAMMA * count
-        z = ((end + _GAMMA) * ones - steps) & low  # lane i: state + GAMMA * (count - i)
+        low = _LOW64 & cut
+        end = self._end + _GAMMA * count  # lane i: state + GAMMA * (count - i)
+        z = ((end + _GAMMA) * (_ONES & cut) - (_GAMMA_STEPS & cut)) & low
         z = ((z ^ (z >> 30)) & low) * _MIX1 & low
         z = ((z ^ (z >> 27)) & low) * _MIX2 & low
         z ^= z >> 31
-        self._buf[:0] = struct.unpack(fmt, z.to_bytes(16 * count, "little"))
+        # the low 64 bits of each 128-bit lane
+        self._buf.extend(struct.unpack("<" + "Q8x" * count, z.to_bytes(16 * count, "little")))
         self._end = end & _MASK
 
     def next_u64(self) -> int:
@@ -128,13 +127,14 @@ class SplitMix64:
 
     def ints(self, count: int, lo: int, hi: int) -> list:
         """[int_in(lo, hi) for _ in range(count)], leaving the same state."""
-        buf = self._buf
-        if len(buf) < count:
-            self._refill(count - len(buf))
-        span = hi - lo + 1
-        out = [lo + z % span for z in buf[:-count - 1:-1]]
-        del buf[len(buf) - count:]
-        return out
+        buf, span, out = self._buf, hi - lo + 1, []
+        while True:
+            take = min(count - len(out), len(buf))
+            out += [lo + z % span for z in buf[:-take - 1:-1]]
+            del buf[len(buf) - take:]
+            if len(out) == count:
+                return out
+            self._refill(count - len(out))
 
     def choice(self, seq):
         return seq[self.below(len(seq))]
@@ -312,7 +312,8 @@ def gen_flanders_triple(cfg: GenConfig, c_equals_b: bool) -> GeneratedTriple:
     if ab @ a != a @ ca:
         raise InternalAssertion("perturbation broke A@B@A == A@C@A")
     ab_g = h1 @ db_g @ da_g @ h1inv  # A@B == H1 @ diag(MA @ MB, 0) @ H1^-1
-    if _drazin_index(ab, ab_g, 1) is None or _drazin_index(ca, c @ ab_g @ ab_g @ a, 1) is None:
+    ca_g = c @ ab_g @ ab_g @ a  # (C@A)^# by the exchange formula
+    if _drazin_index(ab, ab_g, ab @ ab_g, 1) is None or _drazin_index(ca, ca_g, ca @ ca_g, 1) is None:
         raise InternalAssertion("aligned cores must make A@B and C@A group invertible")
     return GeneratedTriple(A=a, B=b, C=c, retries=0)
 
@@ -356,9 +357,10 @@ def gen_drazin_triple(cfg: GenConfig, k: int, c_equals_b: bool) -> GeneratedTrip
         if ab @ a != a @ ca:
             raise InternalAssertion("perturbation broke A@B@A == A@C@A")
         ab_d = h1 @ block_diag(mb_inv @ ma_inv, Mat.zeros(ring, m, m)) @ h1inv
-        if _drazin_index(ab, ab_d, k) != k:
+        if _drazin_index(ab, ab_d, ab @ ab_d, k) != k:
             raise InternalAssertion("chain construction must give ind(A@B) == k")
-        ca_index = _drazin_index(ca, c @ ab_d @ ab_d @ a, k + 1)
+        ca_d = c @ ab_d @ ab_d @ a
+        ca_index = _drazin_index(ca, ca_d, ca @ ca_d, k + 1)
         if ca_index is None:
             raise InternalAssertion("exchange formula gave no Drazin inverse of C@A")
         if ca_index <= max(k, 1):

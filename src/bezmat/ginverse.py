@@ -96,18 +96,17 @@ def _index_search(x: Mat, last: int):
         dinv = (rf.L @ core_inv @ core_inv @ rf.Rt).transpose()
         if prev is not None:
             dinv = prev @ dinv
-        if _drazin_index(x, dinv, k) != k:
+        if _drazin_index(x, dinv, x @ dinv, k) != k:
             raise InternalAssertion(f"Drazin candidate failed its equations at index {k}")
         return DrazinResult(index=k, dinv=dinv)
     return None
 
 
-def _drazin_index(x: Mat, d: Mat, last: int, xd: Mat | None = None):
+def _drazin_index(x: Mat, d: Mat, xd: Mat, last: int):
     """Least k <= last with X @ D == D @ X, D @ X @ D == D and
     X^k @ (I - X @ D) == 0, which make d the Drazin inverse of the
-    square x and k its index; None when there is no such k.  xd is
-    X @ D when the caller has already formed it."""
-    xd = x @ d if xd is None else xd
+    square x and k its index; None when there is no such k.  xd is the
+    caller's X @ D."""
     if xd != d @ x or d @ xd != d:
         return None
     rest = Mat.identity(x.ring, x.n) - xd  # X^k @ (I - X @ D), from k == 0

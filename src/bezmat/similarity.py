@@ -147,19 +147,16 @@ def _similarity_witness(a: Mat, b: Mat, c: Mat):
     xg = res_x.ginv
     yg = c @ xg @ xg @ a  # (C@A)^D by the exchange formula
     p2 = y @ yg
-    if _drazin_index(y, yg, 1, p2) is None:
+    if _drazin_index(y, yg, p2, 1) is None:
         raise NotGroupInvertible(NO_GROUP_INVERSE, side="CA")
-    return _witness_from(a, b, c, x, y, xg, yg, None, p2)
+    return _witness_from(a, b, c, x, y, xg, yg, x @ xg, p2)
 
 
-def _witness_from(a: Mat, b: Mat, c: Mat, x: Mat, y: Mat, xg: Mat, yg: Mat, p1=None, p2=None):
+def _witness_from(a: Mat, b: Mat, c: Mat, x: Mat, y: Mat, xg: Mat, yg: Mat, p1: Mat, p2: Mat):
     """Steps 3-6 for a triple with A@B@A == A@C@A, given X = A@B and
-    Y = C@A and their group inverses xg and yg.  Returns the witness and
-    the core projectors (P, P') = (X @ xg, Y @ yg) it was built from;
-    p1 and p2 are P and P' when the caller has already formed them."""
+    Y = C@A, their group inverses xg and yg and the core projectors
+    (P, P') = (X @ xg, Y @ yg).  Returns the witness and (P, P')."""
     ident = Mat.identity(a.ring, a.n)
-    p1 = x @ xg if p1 is None else p1
-    p2 = y @ yg if p2 is None else p2
     k1 = _rank_factorization(ident - p1)
     k2 = _rank_factorization(ident - p2)
     if k1.r != k2.r:
@@ -270,14 +267,14 @@ def _power_witness(a: Mat, b: Mat, c: Mat, s: int, ab, dr_ab) -> SimilarityWitne
     ys = c2 @ a
     xsg = dr_ab.dinv ** s
     p1 = xs @ xsg
-    if _drazin_index(xs, xsg, 1, p1) is None:
+    if _drazin_index(xs, xsg, p1, 1) is None:
         raise InternalAssertion(
             "((A@B)^D)^s failed the group equations of (A@B)^s despite s >= index",
             instance=_instance_dump(a, b, c, f"power-ab s={s}"),
         )
     ysg = (c @ dr_ab.dinv @ dr_ab.dinv @ a) ** s  # ((C@A)^D)^s by the exchange formula
     p2 = ys @ ysg
-    if _drazin_index(ys, ysg, 1, p2) is None:
+    if _drazin_index(ys, ysg, p2, 1) is None:
         # legitimately possible at s == k when index(C@A) == k + 1
         raise NotGroupInvertible(NO_GROUP_INVERSE, side="CA^s")
     return _witness_from(a, b2, c2, xs, ys, xsg, ysg, p1, p2)[0]
@@ -374,4 +371,5 @@ def _corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
             "variant conditions hold but a product is not group invertible",
             instance=_instance_dump(a, b, c, f"variant-{variant}"),
         )
-    return (report, *_witness_from(a, b, c, x, y, res_x.ginv, res_y.ginv))
+    xg, yg = res_x.ginv, res_y.ginv
+    return (report, *_witness_from(a, b, c, x, y, xg, yg, x @ xg, y @ yg))

@@ -251,11 +251,11 @@ def test_gen_drazin_triple_does_not_retry_on_missing_drazin_inverse(monkeypatch)
 
     calls = []
 
-    def ca_fails(x, d, last):
+    def ca_fails(x, d, xd, last):
         calls.append(x)
         if len(calls) == 2:  # A@B first, then C@A
             return None
-        return _drazin_index(x, d, last)
+        return _drazin_index(x, d, xd, last)
 
     monkeypatch.setattr(generate, "_drazin_index", ca_fails)
     cfg = GenConfig(ring="int", n=4, seed=1, core_rank=1, entry_bound=4)
@@ -299,11 +299,11 @@ def test_generator_self_checks_survive_optimized_mode(monkeypatch):
         with pytest.raises(InternalAssertion, match="carried unimodular inverse"):
             gen_drazin_triple(cfg, 2, c_equals_b=False)
     with monkeypatch.context() as m:
-        m.setattr(generate, "_drazin_index", lambda x, d, last: 5)
+        m.setattr(generate, "_drazin_index", lambda x, d, xd, last: 5)
         with pytest.raises(InternalAssertion, match="ind"):
             gen_drazin_triple(cfg, 2, c_equals_b=False)
     with monkeypatch.context() as m:
-        m.setattr(generate, "_drazin_index", lambda x, d, last: None)
+        m.setattr(generate, "_drazin_index", lambda x, d, xd, last: None)
         with pytest.raises(InternalAssertion, match="group invertible"):
             gen_flanders_triple(GenConfig(ring="int", n=4, seed=1, core_rank=2), False)
     monkeypatch.setattr(

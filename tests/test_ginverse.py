@@ -366,13 +366,13 @@ def test_drazin_index_is_the_least_k_passing_the_drazin_equations(ring, t):
     for x, d, k in _drazin_index_cases(ring, t):
         assert drazin(x) == (k, d)
         # the least k: a larger bound does not move it
-        assert _drazin_index(x, d, k) == k
-        assert _drazin_index(x, d, x.n + 2) == k
+        assert _drazin_index(x, d, x @ d, k) == k
+        assert _drazin_index(x, d, x @ d, x.n + 2) == k
         if k:
-            assert _drazin_index(x, d, k - 1) is None
+            assert _drazin_index(x, d, x @ d, k - 1) is None
         if x.n:
             off = d + Mat.diagonal(ring, [1], x.n, x.n)
-            assert _drazin_index(x, off, x.n + 2) is None
+            assert _drazin_index(x, off, x @ off, x.n + 2) is None
 
 
 @pytest.mark.parametrize("ring,t", [(ZZ, 2), (QQX, Poly.x())], ids=["int", "polyrat"])
@@ -381,8 +381,8 @@ def test_drazin_index_needs_the_candidate_to_commute(ring, t):
     x = Mat.from_rows(ring, [[1, 0], [0, 0]])
     d = Mat.from_rows(ring, [[1, 0], [t, 0]])
     assert d @ x @ d == d and (x - x @ x @ d).is_zero()
-    assert _drazin_index(x, d, 2) is None
-    assert _drazin_index(x, x, 2) == 1
+    assert _drazin_index(x, d, x @ d, 2) is None
+    assert _drazin_index(x, x, x @ x, 2) == 1
 
 
 # ---------------------------------------------------------------------------
