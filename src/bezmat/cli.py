@@ -398,7 +398,7 @@ def _error_exit(exc: BezmatError) -> int:
         code = 5
     else:
         # FormatError, NotSquare, NoSolution, NotDivisible, RingMismatch,
-        # DimensionMismatch, DivisionByZero, NotIdempotent: input problems.
+        # DimensionMismatch, DivisionByZero: input problems.
         code = 4
     print(dumps_doc(doc))
     return code

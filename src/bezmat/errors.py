@@ -65,10 +65,6 @@ class NotDrazinInvertible(BezmatError):
     """No power of the matrix is group invertible over the ring."""
 
 
-class NotIdempotent(BezmatError):
-    """idempotent_split requires E @ E == E."""
-
-
 class HypothesisViolated(BezmatError):
     """A required input identity (e.g. A@B@A == A@C@A) does not hold.
 

@@ -1,4 +1,4 @@
-"""Group and Drazin inverses over the ring, with split certificates.
+"""Group and Drazin inverses over the ring, with the core split certificate.
 
 One index search decides both.  It takes det(X) first: a unit gives
 index 0 and X^D == X^-1; a nonzero non-unit leaves X^-1, the only
@@ -51,7 +51,6 @@ from .errors import (
     InternalAssertion,
     NotDrazinInvertible,
     NotGroupInvertible,
-    NotIdempotent,
     NotInvertibleOverRing,
     NotSquare,
 )
@@ -66,12 +65,12 @@ NO_GROUP_INVERSE = "column module of X differs from that of X@X and Rt@L is not 
 
 
 def _index_search(x: Mat, last: int):
-    """Drazin result of the square x when its index is at most last, else
-    None; raises NotDrazinInvertible when no ring Drazin inverse exists."""
+    """(Drazin result, X @ X^D) of the square x when its index is at most
+    last, else None; raises NotDrazinInvertible when none is in the ring."""
     ring = x.ring
     d = det(x)
     if ring.is_unit(d):
-        return DrazinResult(index=0, dinv=inverse_over_ring(x))
+        return DrazinResult(index=0, dinv=inverse_over_ring(x)), Mat.identity(ring, x.n)
     if d != ring.zero:
         # Invertible over the fraction field, so the unique Drazin inverse
         # there is X^-1; det(X) * det(X^-1) = 1 would force det(X) to be a
@@ -96,9 +95,10 @@ def _index_search(x: Mat, last: int):
         dinv = (rf.L @ core_inv @ core_inv @ rf.Rt).transpose()
         if prev is not None:
             dinv = prev @ dinv
-        if _drazin_index(x, dinv, x @ dinv, k) != k:
+        xd = x @ dinv
+        if _drazin_index(x, dinv, xd, k) != k:
             raise InternalAssertion(f"Drazin candidate failed its equations at index {k}")
-        return DrazinResult(index=k, dinv=dinv)
+        return DrazinResult(index=k, dinv=dinv), xd
     return None
 
 
@@ -118,67 +118,45 @@ def _drazin_index(x: Mat, d: Mat, xd: Mat, last: int):
 
 
 def _group_inverse_attempt(x: Mat):
-    """(result, failure) pair; exactly one is None."""
+    """(X^#, X @ X^#) for a group invertible square x, else None."""
     if not x.is_square():
         raise NotSquare(f"group inverse of a {x.m}x{x.n} matrix")
     try:
-        res = _index_search(x, 1)
+        found = _index_search(x, 1)
     except NotDrazinInvertible:
-        res = None
-    if res is None:
-        return None, NotGroupInvertible(NO_GROUP_INVERSE)
-    return GroupInverseResult(ginv=res.dinv), None
+        return None
+    return None if found is None else (found[0].dinv, found[1])
 
 
 def is_group_invertible(x: Mat) -> bool:
-    res, _ = _group_inverse_attempt(x)
-    return res is not None
+    return _group_inverse_attempt(x) is not None
 
 
 def group_inverse(x: Mat) -> GroupInverseResult:
-    res, failure = _group_inverse_attempt(x)
-    if failure is not None:
-        raise failure
-    return res
+    found = _group_inverse_attempt(x)
+    if found is None:
+        raise NotGroupInvertible(NO_GROUP_INVERSE)
+    return GroupInverseResult(ginv=found[0])
 
 
 def drazin(x: Mat) -> DrazinResult:
     if not x.is_square():
         raise NotSquare(f"Drazin inverse of a {x.m}x{x.n} matrix")
-    res = _index_search(x, x.n)
-    if res is None:
+    found = _index_search(x, x.n)
+    if found is None:
         raise InternalAssertion("power ranks failed to stabilize by n")
-    return res
+    return found[0]
 
 
-def idempotent_split(e: Mat) -> Mat:
-    """Unimodular H whose inverse conjugates the idempotent to diag(I_r, 0).
-
-    Columns are a canonical basis of the image of E followed by one of
-    the image of I - E; for an idempotent over a Bezout domain these are
-    complementary free summands, so H is square and unimodular.
-    """
-    if not e.is_square():
-        raise NotSquare(f"idempotent_split of a {e.m}x{e.n} matrix")
-    if e @ e != e:
-        raise NotIdempotent("E @ E != E")
-    return _split_idempotent(e)[0]
-
-
-def _split_idempotent(e: Mat):
-    """(H, H^-1, E's rank factorization) for a square idempotent E."""
-    ident = Mat.identity(e.ring, e.n)
+def _core_split_with(x: Mat, ginv: Mat) -> CoreSplit:
+    e = x @ ginv
+    ident = Mat.identity(x.ring, x.n)
     im = rank_factorization(e)
     co = _rank_factorization(ident - e)
     h = hstack(im.L, co.L)
     hinv = vstack(im.Rt, co.Rt)
-    if im.r + co.r != e.n or h @ hinv != ident:
-        raise InternalAssertion("image and co-image of an idempotent do not split the space")
-    return h, hinv, im
-
-
-def _core_split_with(x: Mat, ginv: Mat) -> CoreSplit:
-    h, hinv, im = _split_idempotent(x @ ginv)
+    if im.r + co.r != x.n or h @ hinv != ident:
+        raise InternalAssertion("image and co-image of X @ X^# do not split the space")
     m = im.Rt @ x @ im.L
     if not x.ring.is_unit(det(m)):
         raise InternalAssertion("core block is not invertible over the ring")

@@ -123,9 +123,6 @@ class Mat:
         i, j = key
         return self.rows[i][j]
 
-    def row(self, i):
-        return self.rows[i]
-
     def col(self, j):
         return tuple(self.rows[i][j] for i in range(self.m))
 
@@ -289,16 +286,6 @@ def block_diag(a: Mat, b: Mat) -> Mat:
     top = hstack(a, Mat.zeros(a.ring, a.m, b.n))
     bot = hstack(Mat.zeros(a.ring, b.m, a.n), b)
     return vstack(top, bot)
-
-
-def split_blocks(a: Mat, r: int):
-    """Split a square matrix into (A11, A12, A21, A22) at position r."""
-    return (
-        a.submatrix(0, r, 0, r),
-        a.submatrix(0, r, r, a.n),
-        a.submatrix(r, a.m, 0, r),
-        a.submatrix(r, a.m, r, a.n),
-    )
 
 
 # -- determinant and inversion ------------------------------------------------

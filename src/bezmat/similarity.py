@@ -12,8 +12,8 @@ fully checkable at runtime:
   1. The shared-product identity gives the intertwining X @ A == A @ Y.
   2. Compute X^#.  Y^# exists exactly when C @ (X^#)^2 @ A, which the
      exchange formula makes Y^D, passes Y's group equations.
-  3. Form the core projectors P = X @ X^# and P' = Y @ Y^#, and the
-     inverse candidate Q = P' @ B @ X^#.  The shared-product identity
+  3. Take the core projectors P = X @ X^# and P' = Y @ Y^# from the
+     group checks, and form the inverse candidate Q = P' @ B @ X^#.  The shared-product identity
      and the group-inverse equations give A @ Q == P and Q @ A == P'.
   4. Take rank factorizations I - P == L1 @ Rt1 and I - P' == L2 @ Rt2.
      Both have rank n - r1, r1 being the common rank of X and Y.
@@ -32,10 +32,10 @@ fully checkable at runtime:
   6. W @ Winv == I and A@B == W @ (C@A) @ Winv are verified before
      returning.
 
-Powers reuse the construction on (A, B @ X^(s-1), Y^(s-1) @ C), whose
-products X^s, Y^s and shared-product identity follow by associativity
-unchecked; for s >= ind(X), (X^s)^# == (X^D)^s, and (Y^s)^# is
-(C @ (X^D)^2 @ A)^s when that passes Y^s's group equations.
+Powers reuse the construction on (A, B @ X^(s-1), C' = Y^(s-1) @ C),
+whose products X^s, Y^s and shared-product identity hold by
+associativity, unchecked; for s >= ind(X), (X^s)^# == (X^D)^s, and step
+2 on this triple gives (Y^s)^# == C' @ ((X^D)^s)^2 @ A, checked.
 
 The construction is checked, not assumed: unequal ranks in step 4 or a
 failed step 6 raise InternalAssertion with a replayable instance dump,
@@ -115,12 +115,10 @@ def check_hypotheses(a: Mat, b: Mat, c: Mat) -> HypothesisReport:
     _validate_triple(a, b, c)
     x = a @ b
     y = c @ a
-    res_x, _ = _group_inverse_attempt(x)
-    res_y, _ = _group_inverse_attempt(y)
     return HypothesisReport(
         aba_equals_aca=(x @ a == a @ y),
-        ab_group_invertible=res_x is not None,
-        ca_group_invertible=res_y is not None,
+        ab_group_invertible=_group_inverse_attempt(x) is not None,
+        ca_group_invertible=_group_inverse_attempt(y) is not None,
     )
 
 
@@ -141,15 +139,23 @@ def similarity_witness(a: Mat, b: Mat, c: Mat) -> SimilarityWitness:
 def _similarity_witness(a: Mat, b: Mat, c: Mat):
     """similarity_witness with the core projectors: (witness, (P, P'))."""
     x, y, _ = _shared_products(a, b, c)
-    res_x, _ = _group_inverse_attempt(x)
-    if res_x is None:
+    found = _group_inverse_attempt(x)
+    if found is None:
         raise NotGroupInvertible(NO_GROUP_INVERSE, side="AB")
-    xg = res_x.ginv
-    yg = c @ xg @ xg @ a  # (C@A)^D by the exchange formula
+    xg, p1 = found
+    yg, p2 = _exchange(a, c, y, xg, "CA")
+    return _witness_from(a, b, c, x, y, xg, yg, p1, p2)
+
+
+def _exchange(a: Mat, c: Mat, y: Mat, xg: Mat, side: str):
+    """(Y^#, Y @ Y^#) for Y = C@A, Y^# taken as C @ xg^2 @ A, xg = (A@B)^#,
+    by the exchange formula; raises NotGroupInvertible naming side when
+    that fails Y's group equations."""
+    yg = c @ xg @ xg @ a
     p2 = y @ yg
     if _drazin_index(y, yg, p2, 1) is None:
-        raise NotGroupInvertible(NO_GROUP_INVERSE, side="CA")
-    return _witness_from(a, b, c, x, y, xg, yg, x @ xg, p2)
+        raise NotGroupInvertible(NO_GROUP_INVERSE, side=side)
+    return yg, p2
 
 
 def _witness_from(a: Mat, b: Mat, c: Mat, x: Mat, y: Mat, xg: Mat, yg: Mat, p1: Mat, p2: Mat):
@@ -244,9 +250,9 @@ def power_witness(a: Mat, b: Mat, c: Mat, s: int) -> SimilarityWitness:
     Reduces to the base construction on B' = B @ (A@B)^(s-1) and
     C' = (C@A)^(s-1) @ C, whose products and shared-product identity hold
     by associativity.  The floor uses the Drazin inverse D of A@B, of
-    index k; ((A@B)^s)^# == D^s, and ((C@A)^s)^# == (C @ D^2 @ A)^s by
-    the exchange formula when it exists, which at s == k it may not: a
-    (C@A)-side failure surfaces as NotGroupInvertible.
+    index k; ((A@B)^s)^# == D^s, and ((C@A)^s)^# == C' @ (D^s)^2 @ A by
+    the exchange formula on the reduced triple when it exists, which at
+    s == k it may not: a (C@A)-side failure raises NotGroupInvertible.
     """
     return _power_witness(a, b, c, s, None, None)
 
@@ -272,11 +278,8 @@ def _power_witness(a: Mat, b: Mat, c: Mat, s: int, ab, dr_ab) -> SimilarityWitne
             "((A@B)^D)^s failed the group equations of (A@B)^s despite s >= index",
             instance=_instance_dump(a, b, c, f"power-ab s={s}"),
         )
-    ysg = (c @ dr_ab.dinv @ dr_ab.dinv @ a) ** s  # ((C@A)^D)^s by the exchange formula
-    p2 = ys @ ysg
-    if _drazin_index(ys, ysg, p2, 1) is None:
-        # legitimately possible at s == k when index(C@A) == k + 1
-        raise NotGroupInvertible(NO_GROUP_INVERSE, side="CA^s")
+    # refused legitimately at s == k when index(C@A) == k + 1
+    ysg, p2 = _exchange(a, c2, ys, xsg, "CA^s")
     return _witness_from(a, b2, c2, xs, ys, xsg, ysg, p1, p2)[0]
 
 
@@ -351,12 +354,12 @@ def _corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
     witness, (P, P'))."""
     x, y, aba = _shared_products(a, b, c)
     conditions = _variant_conditions(a, b, c, x, y, aba, variant)
-    res_x, _ = _group_inverse_attempt(x)
-    res_y, _ = _group_inverse_attempt(y)
+    found_x = _group_inverse_attempt(x)
+    found_y = _group_inverse_attempt(y)
     report = HypothesisReport(
         aba_equals_aca=True,
-        ab_group_invertible=res_x is not None,
-        ca_group_invertible=res_y is not None,
+        ab_group_invertible=found_x is not None,
+        ca_group_invertible=found_y is not None,
         variant_conditions=conditions,
     )
     failed = tuple(name for name, ok in conditions if not ok)
@@ -366,10 +369,10 @@ def _corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
             failed=failed,
             report=report,
         )
-    if res_x is None or res_y is None:
+    if found_x is None or found_y is None:
         raise InternalAssertion(
             "variant conditions hold but a product is not group invertible",
             instance=_instance_dump(a, b, c, f"variant-{variant}"),
         )
-    xg, yg = res_x.ginv, res_y.ginv
-    return (report, *_witness_from(a, b, c, x, y, xg, yg, x @ xg, y @ yg))
+    (xg, p1), (yg, p2) = found_x, found_y
+    return (report, *_witness_from(a, b, c, x, y, xg, yg, p1, p2))

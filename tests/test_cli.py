@@ -185,7 +185,7 @@ def test_witness_derives_each_inverse_once(write_doc, count_calls):
     assert counts["smith"] == 0
     assert counts["drazin"] == 0
     # Y@Y^# is formed once, by the check of Y^#, and handed to the witness
-    assert counts["__matmul__"] <= 36
+    assert counts["__matmul__"] <= 35
     counts.clear()
     code, doc = run_json(["check", *files, "--variant", "cor22"])
     assert code == 0 and all(doc["witness"]["verified"].values())
@@ -194,7 +194,7 @@ def test_witness_derives_each_inverse_once(write_doc, count_calls):
     assert counts["_group_inverse_attempt"] == 2
     assert counts["det"] == 2
     assert counts["column_hermite"] == 6
-    assert counts["__matmul__"] <= 38
+    assert counts["__matmul__"] <= 36
 
 
 @pytest.mark.parametrize("verb,drazin_calls", [("verify-cline", 2), ("witness-power", 1)])
@@ -225,7 +225,7 @@ def test_drazin_verbs_derive_each_inverse_once(write_doc, count_calls, verb, dra
         assert counts["det"] <= 1
         assert counts["column_hermite"] <= 4
         # the core projectors are formed once each, by the group checks
-        assert counts["__matmul__"] <= 41
+        assert counts["__matmul__"] <= 40
     assert counts["drazin"] == drazin_calls
 
 
@@ -468,9 +468,7 @@ def test_exit_5_variant_without_group_inverse_dumps_instance(write_doc, monkeypa
     # invertible; a product reported otherwise contradicts the theory
     from bezmat import similarity
 
-    monkeypatch.setattr(
-        similarity, "_group_inverse_attempt", lambda x: (None, NotGroupInvertible("injected"))
-    )
+    monkeypatch.setattr(similarity, "_group_inverse_attempt", lambda x: None)
     instance = run_swap_exit_5(write_doc, ["check", "--variant", "cor22"])
     assert instance["stage"] == "variant-cor22"
 

@@ -16,7 +16,6 @@ from bezmat.errors import (
     InternalAssertion,
     NotDrazinInvertible,
     NotGroupInvertible,
-    NotIdempotent,
     NotSquare,
 )
 from bezmat.field_oracle import fraction_field_oracle
@@ -27,11 +26,11 @@ from bezmat.generate import (
     random_matrix,
 )
 from bezmat.ginverse import (
+    _core_split_with,
     _drazin_index,
     core_split,
     drazin,
     group_inverse,
-    idempotent_split,
     is_group_invertible,
 )
 from bezmat.matrix import Mat, block_diag, det, inverse_over_ring
@@ -386,32 +385,8 @@ def test_drazin_index_needs_the_candidate_to_commute(ring, t):
 
 
 # ---------------------------------------------------------------------------
-# idempotent_split and core_split
+# core_split
 # ---------------------------------------------------------------------------
-
-
-def test_idempotent_split_diagonalizes():
-    p = mat([[1, 1], [0, 0]])
-    h = idempotent_split(p)
-    hinv = inverse_over_ring(h)
-    assert hinv @ p @ h == mat([[1, 0], [0, 0]])
-
-
-def test_idempotent_split_extremes():
-    n = 3
-    z = Mat.zeros(ZZ, n, n)
-    hz = idempotent_split(z)
-    assert inverse_over_ring(hz) @ z @ hz == z
-    i = Mat.identity(ZZ, n)
-    hi = idempotent_split(i)
-    assert inverse_over_ring(hi) @ i @ hi == i
-
-
-def test_idempotent_split_rejects_non_idempotent():
-    with pytest.raises(NotIdempotent):
-        idempotent_split(mat([[1, 1], [0, 1]]))
-    with pytest.raises(NotSquare):
-        idempotent_split(Mat.zeros(ZZ, 1, 2))
 
 
 @pytest.mark.parametrize(
@@ -419,10 +394,12 @@ def test_idempotent_split_rejects_non_idempotent():
     [("normal_forms", "rank factorization reconstruction failed"), ("ginverse", "do not split the space")],
     ids=["E", "I-E"],
 )
-def test_idempotent_split_checks_its_factors(monkeypatch, module, message):
-    # E's factors go through the checked rank_factorization, since
-    # H^-1 @ E @ H == diag(I, 0) rests on them; wrong factors of I - E
-    # must fail the one check H @ H^-1 == I
+def test_core_split_checks_its_factors(monkeypatch, module, message):
+    # E = X @ X^#'s factors go through the checked rank_factorization,
+    # since H^-1 @ E @ H == diag(I, 0) rests on them; wrong factors of
+    # I - E must fail the one check H @ H^-1 == I.  X is idempotent, so
+    # X^# == X, handed in directly: the index search factors powers of X
+    # with the same function
     mod = importlib.import_module(f"bezmat.{module}")
     real = mod._rank_factorization
 
@@ -431,15 +408,14 @@ def test_idempotent_split_checks_its_factors(monkeypatch, module, message):
         return rf._replace(Rt=rf.Rt.scale(2))
 
     monkeypatch.setattr(mod, "_rank_factorization", doubled)
+    x = mat([[1, 1], [0, 0]])
     with pytest.raises(InternalAssertion, match=message):
-        idempotent_split(mat([[1, 1], [0, 0]]))
+        _core_split_with(x, x)
 
 
 def test_core_split_checks_its_reconstruction():
     # E = X @ G is idempotent but G is not X^#: the split of E exists,
     # and only L1 @ M @ Rt1 == X can tell
-    from bezmat.ginverse import _core_split_with
-
     with pytest.raises(InternalAssertion, match="reconstruction failed"):
         _core_split_with(mat([[1, 0], [0, 0]]), mat([[1, 1], [0, 0]]))
 
@@ -470,7 +446,6 @@ def test_core_split_matches_module_basis_route(ring_name, n, entry_bound, rank):
     assert cs.r == r
     cols = list(column_module_basis(e)) + list(column_module_basis(ident - e))
     assert cs.H == Mat.from_columns(ring, cols, nrows=n)
-    assert idempotent_split(e) == cs.H
     assert cs.H @ cs.Hinv == ident
     assert cs.Hinv @ e @ cs.H == Mat.diagonal(ring, [ring.one] * r, m=n, n=n)
     assert cs.H @ block_diag(cs.M, Mat.zeros(ring, n - r, n - r)) @ cs.Hinv == x

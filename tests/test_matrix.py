@@ -23,7 +23,6 @@ from bezmat.matrix import (
     det,
     hstack,
     inverse_over_ring,
-    split_blocks,
     vstack,
 )
 from bezmat.rings import QQ, QQX, ZZ, Poly, get_ring
@@ -89,7 +88,6 @@ def test_construction_and_shape():
     x = mat([[1, 2, 3], [4, 5, 6]])
     assert x.shape == (2, 3) and not x.is_square()
     assert x[1, 2] == 6
-    assert x.row(0) == (1, 2, 3)
     assert x.col(2) == (3, 6)
     assert x.tolist() == [[1, 2, 3], [4, 5, 6]]
     assert Mat.identity(ZZ, 0).shape == (0, 0)
@@ -165,13 +163,6 @@ def test_transpose_submatrix_stacking():
     assert vstack(a, a).shape == (4, 3)
     bd = block_diag(mat([[1]]), mat([[2, 3]]))
     assert bd.tolist() == [[1, 0, 0], [0, 2, 3]]
-    tl, tr, bl, br = split_blocks(mat([[1, 2], [3, 4]]), 1)
-    assert (tl.tolist(), tr.tolist(), bl.tolist(), br.tolist()) == (
-        [[1]],
-        [[2]],
-        [[3]],
-        [[4]],
-    )
 
 
 @settings(max_examples=80, deadline=None)
