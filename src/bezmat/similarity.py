@@ -12,9 +12,10 @@ fully checkable at runtime:
   1. The shared-product identity gives the intertwining X @ A == A @ Y.
   2. Compute X^#.  Y^# exists exactly when C @ (X^#)^2 @ A, which the
      exchange formula makes Y^D, passes Y's group equations.
-  3. Take the core projectors P = X @ X^# and P' = Y @ Y^# from the
-     group checks, and form the inverse candidate Q = P' @ B @ X^#.  The shared-product identity
-     and the group-inverse equations give A @ Q == P and Q @ A == P'.
+  3. The group checks give the core projectors P = X @ X^# and
+     P' = Y @ Y^#; form the inverse candidate Q = P' @ B @ X^#.  The
+     shared-product identity and the group-inverse equations give
+     A @ Q == P and Q @ A == P'.
   4. Take rank factorizations I - P == L1 @ Rt1 and I - P' == L2 @ Rt2.
      Both have rank n - r1, r1 being the common rank of X and Y.
   5. W  = P @ A @ P' + L1 @ Rt2 and
