@@ -14,6 +14,15 @@ checked.  Each result is read back from the image once, at the end; the
 slot widths of ``rings`` bound every polynomial coefficient read back.
 An inverse is always re-verified by multiplication before being
 returned.
+
+An integer product of at least PACK_MIN rows and columns is its own
+image and takes a shorter route: each row of the right factor is packed
+into one int, entry j at 2**(w*j), so a row of the product is one sum of
+int products, read back slot by slot.  The slot width w bounds every
+entry of the product, and the route is taken only while w is at most
+PACK_MAX_WIDTH bits; past that, or with fewer rows or columns, one sum
+per entry is faster.  Rational and Q[x] products keep one sum per entry,
+since each entry is read back over its own row and column denominators.
 """
 
 from __future__ import annotations
@@ -28,7 +37,7 @@ from .errors import (
     NotSquare,
     RingMismatch,
 )
-from .rings import elimination_width, fraction_free_step, product_width
+from .rings import ZZ, _pack, elimination_width, fraction_free_step, product_width
 
 class Mat:
     __slots__ = ("ring", "m", "n", "rows")
@@ -229,6 +238,10 @@ class Mat:
         if self.n != other.m:
             raise DimensionMismatch(f"matmul: {self.shape} @ {other.shape}")
         ring = self.ring
+        if ring is ZZ and self.m >= PACK_MIN and other.n >= PACK_MIN and self.n:
+            w = _packing_width(self.rows, other.rows, self.n)
+            if w is not None:
+                return Mat._raw(ring, self.m, other.n, _packed_product(self.rows, other.rows, other.n, w))
         cols = tuple(zip(*other.rows)) if other.rows else ((),) * other.n
         # rows of self and columns of other, each cleared on its own
         (a, b), (da, db), w = ring.image((self.rows, cols), product_width(self.n))
@@ -260,6 +273,50 @@ class Mat:
     def __repr__(self):
         body = "; ".join(" ".join(map(str, row)) for row in self.rows)
         return f"Mat<{self.ring.name} {self.m}x{self.n}: {body}>"
+
+
+# -- integer products on packed rows ------------------------------------------
+
+# the measured crossovers of row packing (see the module docstring); the
+# inner dimension hardly matters
+PACK_MIN = 8
+PACK_MAX_WIDTH = 128
+
+
+def _packing_width(a, b, inner):
+    """Slot width of a @ b on packed rows, or None past PACK_MAX_WIDTH; a
+    and b are nonempty int rows and each entry of a @ b is a sum of
+    ``inner`` products.  An entry is at most inner * max|a| * max|b|,
+    below 2**(w - 1) in absolute value.  The first entries of a and b
+    give a lower bound, which turns uniformly wide factors away without
+    a scan."""
+    extra = inner.bit_length() + 1
+    if a[0][0].bit_length() + b[0][0].bit_length() + extra > PACK_MAX_WIDTH:
+        return None
+    ma = max(max(map(max, a)), -min(map(min, a)))
+    mb = max(max(map(max, b)), -min(map(min, b)))
+    w = ma.bit_length() + mb.bit_length() + extra
+    return w if w <= PACK_MAX_WIDTH else None
+
+
+def _packed_product(a, b, n, w):
+    """The rows of a @ b for int rows a and b (b with n columns), every entry
+    below 2**(w - 1) in absolute value.
+
+    Each row of b is packed into one int, entry j at 2**(w*j), so a row of
+    the product is one sum of int products.  Adding 2**(w - 1) to every slot
+    makes all of them nonnegative, and each is read back by a shift and a
+    mask.
+    """
+    half = 1 << (w - 1)
+    mask = (1 << w) - 1
+    packed = [_pack(r, w) for r in b]
+    offset = _pack((half,) * n, w)
+    shifts = range(0, w * n, w)
+    return tuple(
+        tuple([(s >> t & mask) - half for t in shifts])
+        for s in [sum(map(mul, ra, packed), offset) for ra in a]
+    )
 
 
 # -- block assembly -----------------------------------------------------------

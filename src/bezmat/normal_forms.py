@@ -166,8 +166,19 @@ def column_hermite(a: Mat) -> HermiteResult:
 
     ``_echelon`` works on the columns of H stacked on the columns of T, so
     a column step is one line step, and no opposite transform is kept (the
-    co-lines are empty).
+    co-lines are empty).  The result is checked by the one product A @ T
+    before it is returned.
     """
+    hr = _column_hermite(a)
+    if a @ hr.T != hr.H:
+        raise InternalAssertion("column Hermite transform check A @ T == H failed")
+    return hr
+
+
+def _column_hermite(a: Mat) -> HermiteResult:
+    """column_hermite unchecked, for rank, the module and kernel bases, the
+    solver, which checks its own result, and _rank_factorization, whose
+    callers check theirs."""
     ring = a.ring
     m, n = a.m, a.n
     z, one = ring.zero, ring.one
@@ -192,7 +203,7 @@ def row_hermite(a: Mat) -> RowHermiteResult:
 
 
 def rank(a: Mat) -> int:
-    return len(column_hermite(a).pivot_rows)
+    return len(_column_hermite(a).pivot_rows)
 
 
 def smith(a: Mat) -> SmithResult:
@@ -310,7 +321,7 @@ def solve_in_column_module(a: Mat, b: Mat) -> Mat:
     a._same_ring(b)
     if a.m != b.m:
         raise DimensionMismatch(f"solve: {a.shape} vs {b.shape}")
-    hr = column_hermite(a)
+    hr = _column_hermite(a)
     y = _echelon_solve(hr, b)
     x = hr.T.submatrix(0, a.n, 0, y.m) @ y
     if a @ x != b:
@@ -332,7 +343,7 @@ def rank_factorization(a: Mat) -> RankFactorization:
 
 def _rank_factorization(a: Mat) -> RankFactorization:
     """rank_factorization unchecked, for callers that a later check covers."""
-    hr = column_hermite(a)
+    hr = _column_hermite(a)
     r = len(hr.pivot_rows)
     return RankFactorization(L=hr.H.submatrix(0, a.m, 0, r), Rt=_echelon_solve(hr, a), r=r)
 
@@ -349,7 +360,7 @@ def _nonzero_columns(a: Mat):
 
 def column_module_basis(a: Mat):
     """Nonzero columns of the column Hermite form: a canonical basis."""
-    return _nonzero_columns(column_hermite(a).H)
+    return _nonzero_columns(_column_hermite(a).H)
 
 
 def col_module_equal(a: Mat, b: Mat) -> bool:
@@ -375,7 +386,7 @@ def row_module_equal(a: Mat, b: Mat) -> bool:
 
 def right_kernel_basis(a: Mat) -> Mat:
     """Columns generate {x : a @ x == 0}; may have zero columns (n x d)."""
-    hr = column_hermite(a)
+    hr = _column_hermite(a)
     z = a.ring.zero
     kcols = []
     for j in range(a.n):

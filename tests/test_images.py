@@ -7,7 +7,9 @@ cleared numerator polynomials evaluated at x = 2**w.  The first part
 checks the Q[x] pack and read-back at the edge of a slot; the second
 checks the four operations, over all three rings, against a schoolbook
 reference on Fraction coefficients written here (cofactor expansion for
-determinants, adjugates for inverses, ranks from minors).
+determinants, adjugates for inverses, ranks from minors), including
+integer products on both sides of the rule that packs the rows of the
+right factor, up to the edge of their slots.
 """
 
 import itertools
@@ -19,9 +21,10 @@ from math import lcm
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from bezmat import matrix
 from bezmat.errors import NotDivisible, NotInvertibleOverRing
 from bezmat.field_oracle import _inverse_num, fraction_field_oracle
-from bezmat.matrix import Mat, det, inverse_over_ring
+from bezmat.matrix import PACK_MAX_WIDTH, PACK_MIN, Mat, _packed_product, _packing_width, det, inverse_over_ring
 from bezmat.rings import QQ, QQX, RINGS, ZZ, Poly, elimination_width, fraction_free_step, product_width
 
 
@@ -367,6 +370,109 @@ def test_products_match_the_reference(ring_name, shape):
         got = ref_mat(ring, a, k) @ ref_mat(ring, b, n)
         assert got.shape == (m, n)
         assert got == ref_mat(ring, ref_matmul(a, b, n), n)
+
+
+# Integer products of at least PACK_MIN rows and columns with slots of at
+# most PACK_MAX_WIDTH bits run on packed rows; the rest, one sum per entry.
+
+
+def _int_product(a, b, k, n):
+    """a @ b as Mats (a with k columns, b with n), and whether it ran on
+    packed rows."""
+    packed = []
+
+    def spy(*args):
+        packed.append(args)
+        return _packed_product(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(matrix, "_packed_product", spy)
+        got = Mat.from_rows(ZZ, a, k) @ Mat.from_rows(ZZ, b, n)
+    return got, bool(packed)
+
+
+def _int_reference(a, b, n):
+    ra, rb = ([[to_ref(ZZ, e) for e in row] for row in x] for x in (a, b))
+    return ref_mat(ZZ, ref_matmul(ra, rb, n), n)
+
+
+def _int_random(rnd, m, n, bits):
+    edge = 2**bits - 1
+    return [[rnd.randint(-edge, edge) for _ in range(n)] for _ in range(m)]
+
+
+def _int_extremes(m, k, n, bits_a, bits_b):
+    """Entries at +-(2**bits - 1), signed by row in a and by column in b,
+    so every product entry is +-k * max|a| * max|b|."""
+    ea, eb = 2**bits_a - 1, 2**bits_b - 1
+    a = [[(-1) ** i * ea] * k for i in range(m)]
+    b = [[(-1) ** (j // 2) * eb for j in range(n)] for _ in range(k)]
+    return a, b
+
+
+@pytest.mark.parametrize("shape", list(itertools.product((7, 8, 9), repeat=3)) + [(48, 48, 48)])
+def test_int_products_around_the_switch_match_the_reference(shape):
+    m, k, n = shape
+    rnd = random.Random(f"int {shape}")
+    for bits in (1, 4, 30):
+        a, b = _int_random(rnd, m, k, bits), _int_random(rnd, k, n, bits)
+        got, packed = _int_product(a, b, k, n)
+        assert got == _int_reference(a, b, n)
+        assert packed == (m >= PACK_MIN and n >= PACK_MIN)
+
+
+@pytest.mark.parametrize("shape", [(9, 0, 9), (9, 1, 9), (8, 1, 8), (0, 9, 9), (9, 9, 0), (0, 0, 9), (9, 0, 0), (1, 9, 9), (9, 9, 1)])
+def test_int_products_of_thin_and_empty_operands(shape):
+    m, k, n = shape
+    rnd = random.Random(f"thin {shape}")
+    a, b = _int_random(rnd, m, k, 6), _int_random(rnd, k, n, 6)
+    got, packed = _int_product(a, b, k, n)
+    assert got.shape == (m, n)
+    assert got == _int_reference(a, b, n)
+    assert packed == (m >= PACK_MIN and n >= PACK_MIN and k > 0)
+
+
+@pytest.mark.parametrize("bits", [1, 7, 30, 60, 70])
+def test_int_products_with_mixed_signs_match_the_reference(bits):
+    # random signs, and factors whose largest magnitude is only in one
+    # negative row of a, or one negative column of b, among entries 0 and 1
+    # (so their first entries do not show how wide the slots must be)
+    rnd = random.Random(bits)
+    edge = 2**bits - 1
+    a, b = _int_random(rnd, 12, 10, bits), _int_random(rnd, 10, 11, bits)
+    low_a = [[-edge] * 10 if i == 3 else [rnd.randint(0, 1) for _ in range(10)] for i in range(12)]
+    low_b = [[-edge if j == 5 else rnd.randint(0, 1) for j in range(11)] for _ in range(10)]
+    for x, y in ((a, b), (low_a, b), (a, low_b)):
+        got, packed = _int_product(x, y, 10, 11)
+        assert got == _int_reference(x, y, 11)
+        assert packed == (2 * bits + 5 <= PACK_MAX_WIDTH)
+
+
+@pytest.mark.parametrize("k, bits_a, bits_b", [(15, 61, 62), (15, 62, 62), (16, 60, 61), (8, 60, 63), (48, 1, 1)])
+def test_int_slots_at_the_width_limit(k, bits_a, bits_b):
+    # every product entry is +-k * max|a| * max|b|: a slot of the rule's
+    # width w holds it, at w <= PACK_MAX_WIDTH on packed rows and one bit
+    # past it per entry
+    m, n = 9, 10
+    a, b = _int_extremes(m, k, n, bits_a, bits_b)
+    w = bits_a + bits_b + k.bit_length() + 1
+    assert _packing_width(a, b, k) == (w if w <= PACK_MAX_WIDTH else None)
+    got, packed = _int_product(a, b, k, n)
+    want = _int_reference(a, b, n)
+    assert got == want
+    assert packed == (w <= PACK_MAX_WIDTH)
+    assert Mat._raw(ZZ, m, n, _packed_product(a, b, n, w)) == want
+
+
+def test_one_bit_short_of_the_int_slot_does_not_round_trip():
+    # k = 15 is 2**4 - 1, so 15 * (2**61 - 1) * (2**62 - 1) needs every
+    # one of the w = 61 + 62 + 4 + 1 = 128 bits of its signed slot
+    a, b = _int_extremes(9, 15, 10, 61, 62)
+    w = _packing_width(a, b, 15)
+    assert w == PACK_MAX_WIDTH == 128
+    want = _int_reference(a, b, 10)
+    assert Mat._raw(ZZ, 9, 10, _packed_product(a, b, 10, w)) == want
+    assert Mat._raw(ZZ, 9, 10, _packed_product(a, b, 10, w - 1)) != want
 
 
 @pytest.mark.parametrize("ring_name", sorted(RINGS))

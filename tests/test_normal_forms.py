@@ -295,6 +295,28 @@ def test_smith_checks_catch_a_wrong_elimination(monkeypatch):
     assert smith(mat([[0, 0], [0, 3]])).diagonal() == (3,)
 
 
+def test_column_hermite_check_catches_a_wrong_transform(monkeypatch):
+    # a shear that misses the last entry of its line leaves H right but T
+    # short of one row update; the check A @ T == H of column_hermite, and
+    # through it row_hermite's, fires
+    shear = normal_forms._shear
+
+    def short_shear(lines, co, j, p, q, i):
+        last = lines[j][-1]
+        shear(lines, co, j, p, q, i)
+        lines[j][-1] = last
+
+    a = mat([[2, 3]])
+    assert column_hermite(a).H == mat([[1, 0]])
+    with monkeypatch.context() as mp:
+        mp.setattr(normal_forms, "_shear", short_shear)
+        assert normal_forms._column_hermite(a).H == mat([[1, 0]])
+        with pytest.raises(InternalAssertion, match="A @ T == H"):
+            column_hermite(a)
+        with pytest.raises(InternalAssertion, match="A @ T == H"):
+            row_hermite(a.transpose())
+
+
 def test_rat_field_forms_are_trivial():
     a = Mat.from_rows(QQ, [[2, 3], [5, 7]])
     assert smith(a).diagonal() == (QQ.one, QQ.one)
