@@ -4,9 +4,10 @@ Each suite returns a SuiteResult whose `line` is a deterministic
 one-line summary (no timings — those go to stderr), so two runs with
 the same profile and base seed print byte-identical stdout.  Per-
 instance seeds are derived as  base_seed + criterion * 1_000_000 + i,
-so any failure message pinpoints a replayable GenConfig.  Criteria 2-7
-stream generated instances as cases through one runner, ``_suite``;
-criteria 1 and 8 are fixtures.
+so any failure message pinpoints a replayable GenConfig.  Every
+criterion streams its cases through one runner, ``_suite``: criterion 1
+a frozen fixture, criteria 2-7 generated instances and criterion 8
+requests to the in-process CLI.
 
 Profiles:
   quick — reduced counts for a fast smoke run;
@@ -18,7 +19,10 @@ Profiles:
 
 from __future__ import annotations
 
+import json
+import os
 import sys
+import tempfile
 import time
 from collections import namedtuple
 from functools import partial
@@ -31,6 +35,8 @@ from .errors import (
     NotDrazinInvertible,
     NotGroupInvertible,
 )
+from . import faults
+from .cli import run_argv
 from .field_oracle import fraction_field_oracle
 from .generate import (
     GenConfig,
@@ -41,6 +47,7 @@ from .generate import (
     random_matrix,
 )
 from .ginverse import drazin, group_inverse
+from .io import dumps_doc, matrix_to_doc
 from .matrix import Mat, det
 from .normal_forms import column_hermite, rank, row_hermite, smith
 from .rings import ZZ, get_ring
@@ -87,29 +94,28 @@ def _mat(rows) -> Mat:
 # --------------------------------------------------------------- criterion 1
 
 
+def _counterexample_case():
+    a = _mat([[1, 1], [0, -1]])
+    b = _mat([[1, 1], [0, 0]])
+    c = _mat([[1, -1], [0, 0]])
+    if not verify_witness(a, b, c, _mat([[1, 1], [0, 1]]), mode="product"):
+        return "witness rejected"
+    try:
+        similarity_witness(a, b, c)
+    except HypothesisViolated as exc:
+        if exc.lhs == _mat([[1, 0], [0, 0]]) and exc.rhs == _mat([[1, 2], [0, 0]]):
+            return None
+        return "hypothesis violation with other products"
+    return "no hypothesis violation"
+
+
 def criterion_1(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
     """Frozen counterexample fixture: a triple whose shared-product
     hypothesis fails with specific computed products, while a claimed
     witness matrix still passes the product-mode verification (showing
     verification is independent of the construction hypotheses)."""
-    t0 = time.perf_counter()
-    a = _mat([[1, 1], [0, -1]])
-    b = _mat([[1, 1], [0, 0]])
-    c = _mat([[1, -1], [0, 0]])
-    p = _mat([[1, 1], [0, 1]])
-    ok = verify_witness(a, b, c, p, mode="product")
-    try:
-        similarity_witness(a, b, c)
-        pipeline_ok = False
-    except HypothesisViolated as exc:
-        pipeline_ok = (
-            exc.lhs == _mat([[1, 0], [0, 0]]) and exc.rhs == _mat([[1, 2], [0, 0]])
-        )
-    passed = bool(ok and pipeline_ok)
-    detail = (
-        f"witness accepted={ok}, hypothesis violation with computed products={pipeline_ok}"
-    )
-    return SuiteResult(1, "counterexample fixture", passed, 1, detail, time.perf_counter() - t0)
+    summary = "witness accepted=True, hypothesis violation with computed products=True"
+    return _suite(1, "counterexample fixture", [("fixture", _counterexample_case)], summary)
 
 
 # ----------------------------------------------------------------- suites
@@ -419,62 +425,51 @@ def criterion_7(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
 # ------------------------------------------------------------- criterion 8
 
 
-def criterion_8(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
-    """Exit-code contract, exercised through the in-process CLI runner."""
-    import json
-    import os
-    import tempfile
+def _exit_case(argv, expected: int):
+    """Run argv through the in-process CLI; an exit 5 must also carry a
+    replayable instance dump."""
+    code, out = run_argv(argv)
+    if code != expected:
+        return f"exit {code}"
+    if code == 5 and not {"A", "B", "C"} <= set(json.loads(out).get("instance", ())):
+        return "no replayable dump"
+    return None
 
-    from . import faults
-    from .cli import run_argv
-    from .io import dumps_doc, matrix_to_doc
 
-    t0 = time.perf_counter()
-    checks: list[tuple[str, bool]] = []
+def _contract_cases():
+    """One CLI request per exit code, on files in a temporary directory
+    that stays open until the last case has run."""
     with tempfile.TemporaryDirectory() as tmp:
         def write(name, obj) -> str:
             path = os.path.join(tmp, name)
             with open(path, "w", encoding="utf-8") as fh:
-                fh.write(obj if isinstance(obj, str) else dumps_doc(obj))
+                fh.write(obj if isinstance(obj, str) else dumps_doc(matrix_to_doc(_mat(obj))))
             return path
 
-        bad = write("x.json", matrix_to_doc(_mat([[2, 0], [0, 0]])))
-        code, out = run_argv(["ginv", bad])
-        checks.append(("group-noninvertible exit 3", code == 3))
-
-        a = write("a.json", matrix_to_doc(_mat([[1, 1], [0, -1]])))
-        b = write("b.json", matrix_to_doc(_mat([[1, 1], [0, 0]])))
-        c = write("c.json", matrix_to_doc(_mat([[1, -1], [0, 0]])))
-        code, out = run_argv(["witness", a, b, c])
-        checks.append(("hypothesis-violated exit 2", code == 2))
-
+        bad = write("x.json", [[2, 0], [0, 0]])
+        yield "group-noninvertible exit 3", _exit_case, ["ginv", bad], 3
+        a = write("a.json", [[1, 1], [0, -1]])
+        b = write("b.json", [[1, 1], [0, 0]])
+        c = write("c.json", [[1, -1], [0, 0]])
+        yield "hypothesis-violated exit 2", _exit_case, ["witness", a, b, c], 2
         mal = write("mal.json", "{ this is not json")
-        code, out = run_argv(["rank", mal])
-        checks.append(("malformed file exit 4", code == 4))
-
-        sa = write("sa.json", matrix_to_doc(_mat([[0, 1], [0, 0]])))
-        sb = write("sb.json", matrix_to_doc(_mat([[0, 0], [1, 0]])))
+        yield "malformed file exit 4", _exit_case, ["rank", mal], 4
+        sa = write("sa.json", [[0, 1], [0, 0]])
+        sb = write("sb.json", [[0, 0], [1, 0]])
         faults.clear()
-        code, out = run_argv(["witness", sa, sb, sb, "--inject-fault", "witness"])
+        yield (
+            "injected fault exit 5 with replayable dump",
+            _exit_case,
+            ["witness", sa, sb, sb, "--inject-fault", "witness"],
+            5,
+        )
         faults.clear()
-        dump_ok = False
-        if code == 5 and out:
-            try:
-                doc = json.loads(out)
-                inst = doc.get("instance") or {}
-                dump_ok = all(key in inst for key in ("A", "B", "C"))
-            except json.JSONDecodeError:
-                dump_ok = False
-        checks.append(("injected fault exit 5 with replayable dump", code == 5 and dump_ok))
 
-    failed = [name for name, ok in checks if not ok]
-    passed = not failed
-    detail = (
-        "exit codes 3/2/4/5 with instance dump"
-        if passed
-        else f"first failure: {failed[0]}"
-    )
-    return SuiteResult(8, "negative-path contract", passed, len(checks), detail, time.perf_counter() - t0)
+
+def criterion_8(base_seed: int = 0, counts: dict | None = None) -> SuiteResult:
+    """Exit-code contract, exercised through the in-process CLI runner."""
+    summary = "exit codes 3/2/4/5 with instance dump"
+    return _suite(8, "negative-path contract", _contract_cases(), summary)
 
 
 # ----------------------------------------------------------------- runner

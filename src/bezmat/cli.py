@@ -5,7 +5,10 @@ computation, and prints a single JSON result document on stdout.
 Every identity a witness-producing verb prints as verified was checked
 in-process by the library call that produced the witness, before
 anything is printed, so an exit status of 0 certifies the printed
-identities.
+identities.  Every failure past argument parsing, a usage error
+included, is a BezmatError that one function, _error_exit, turns into
+an error document and exit code; argparse's own errors exit 4 with
+usage text on stderr.
 
 Exit codes:
   0  success (including ``verify`` runs whose answer is false)
@@ -50,12 +53,15 @@ from .similarity import (
     _MODES,
     VARIANTS,
     _cline,
-    _corollary_check,
-    _derived_conjugations,
     _power_witness,
     conjugate_witnesses,
+    corollary_check,
     verify_witness,
 )
+
+
+class UsageError(BezmatError):
+    """A request argparse accepts but the verb cannot serve."""
 
 
 class _Parser(argparse.ArgumentParser):
@@ -75,6 +81,9 @@ def build_parser() -> _Parser:
         default=None,
         help=argparse.SUPPRESS,
     )
+    triple = argparse.ArgumentParser(add_help=False)
+    for name in "abc":
+        triple.add_argument(name, metavar=name.upper())
     parser = _Parser(
         prog="bezmat",
         description="Exact generalized inverses and similarity witnesses over "
@@ -82,40 +91,41 @@ def build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="verb", required=True, metavar="VERB")
 
-    p = sub.add_parser("rank", parents=[common], help="rank of a matrix over its ring")
+    def verb(name, handler, help, *parents):
+        p = sub.add_parser(name, parents=[common, *parents], help=help)
+        p.set_defaults(handler=handler)
+        return p
+
+    p = verb("rank", _cmd_rank, "rank of a matrix over its ring")
     p.add_argument("matrix", help="matrix document (JSON file)")
 
-    p = sub.add_parser("hnf", parents=[common], help="column echelon form H = A*T with unimodular T")
+    p = verb("hnf", _cmd_hnf, "column echelon form H = A*T with unimodular T")
     p.add_argument("matrix")
 
-    p = sub.add_parser("smith", parents=[common], help="diagonal form A = U*S*V with unimodular U, V")
+    p = verb("smith", _cmd_smith, "diagonal form A = U*S*V with unimodular U, V")
     p.add_argument("matrix")
 
-    p = sub.add_parser("ginv", parents=[common], help="group inverse over the ring, if it exists")
+    p = verb("ginv", _cmd_ginv, "group inverse over the ring, if it exists")
     p.add_argument("matrix")
 
-    p = sub.add_parser("drazin", parents=[common], help="Drazin inverse over the ring and its index")
+    p = verb("drazin", _cmd_drazin, "Drazin inverse over the ring and its index")
     p.add_argument("matrix")
 
-    p = sub.add_parser(
+    verb(
         "witness",
-        parents=[common],
-        help="invertible W with A*B = W*(C*A)*W^-1, given A*B*A = A*C*A "
+        _cmd_witness,
+        "invertible W with A*B = W*(C*A)*W^-1, given A*B*A = A*C*A "
         "and both products group invertible",
+        triple,
     )
-    p.add_argument("a", metavar="A")
-    p.add_argument("b", metavar="B")
-    p.add_argument("c", metavar="C")
 
-    p = sub.add_parser(
+    p = verb(
         "witness-power",
-        parents=[common],
-        help="invertible W with (A*B)^s = W*((C*A)^s)*W^-1 for s at or above "
+        _cmd_witness_power,
+        "invertible W with (A*B)^s = W*((C*A)^s)*W^-1 for s at or above "
         "the index of A*B",
+        triple,
     )
-    p.add_argument("a", metavar="A")
-    p.add_argument("b", metavar="B")
-    p.add_argument("c", metavar="C")
     p.add_argument(
         "--s",
         type=int,
@@ -123,42 +133,36 @@ def build_parser() -> _Parser:
         help="power (natural number); defaults to max(index of A*B, 1)",
     )
 
-    p = sub.add_parser(
+    p = verb(
         "verify",
-        parents=[common],
-        help="check a claimed witness W against one conjugation identity",
+        _cmd_verify,
+        "check a claimed witness W against one conjugation identity",
+        triple,
     )
-    p.add_argument("a", metavar="A")
-    p.add_argument("b", metavar="B")
-    p.add_argument("c", metavar="C")
     p.add_argument("w", metavar="W")
     p.add_argument("--mode", choices=_MODES, default="product")
 
-    p = sub.add_parser(
+    verb(
         "verify-cline",
-        parents=[common],
-        help="check the exchange formula (C*A)^D = C*((A*B)^D)^2*A and the "
+        _cmd_verify_cline,
+        "check the exchange formula (C*A)^D = C*((A*B)^D)^2*A and the "
         "index bound ind(C*A) <= ind(A*B) + 1",
+        triple,
     )
-    p.add_argument("a", metavar="A")
-    p.add_argument("b", metavar="B")
-    p.add_argument("c", metavar="C")
 
-    p = sub.add_parser(
+    p = verb(
         "check",
-        parents=[common],
-        help="evaluate one named set of column-module conditions; on success "
+        _cmd_check,
+        "evaluate one named set of column-module conditions; on success "
         "also produce and verify the witness they imply",
+        triple,
     )
-    p.add_argument("a", metavar="A")
-    p.add_argument("b", metavar="B")
-    p.add_argument("c", metavar="C")
     p.add_argument("--variant", choices=VARIANTS, required=True)
 
-    p = sub.add_parser(
+    p = verb(
         "gen",
-        parents=[common],
-        help="generate random instances (bundles embed the generating "
+        _cmd_gen,
+        "generate random instances (bundles embed the generating "
         "configuration for exact replay)",
     )
     p.add_argument(
@@ -178,20 +182,15 @@ def build_parser() -> _Parser:
     p.add_argument("--index", type=int, default=1, help="target index for kind=drazin")
     p.add_argument("--variant", choices=VARIANTS, default=None, help="for kind=corollary-false")
 
-    p = sub.add_parser(
+    p = verb(
         "selftest",
-        parents=[common],
-        help="run the acceptance suites (summary on stdout, timing on stderr)",
+        _cmd_selftest,
+        "run the acceptance suites (summary on stdout, timing on stderr)",
     )
     p.add_argument("--profile", choices=("quick", "full"), default="quick")
     p.add_argument("--seed", type=int, default=0, help="base seed for all suites")
 
     return parser
-
-
-def _usage_error(message: str) -> "SystemExit":
-    print(dumps_doc({"error": "UsageError", "message": message}))
-    return SystemExit(4)
 
 
 def _load_triple(args):
@@ -273,9 +272,8 @@ def _cmd_verify_cline(args) -> dict:
 
 def _cmd_check(args) -> dict:
     a, b, c = _load_triple(args)
-    report, wit, proj = _corollary_check(a, b, c, args.variant)
-    _derived_conjugations(a, b, c, wit, proj)
-    doc = {
+    report, wit = corollary_check(a, b, c, args.variant)
+    return {
         "variant": args.variant,
         "hypotheses": {
             "shared_product": report.aba_equals_aca,
@@ -287,14 +285,13 @@ def _cmd_check(args) -> dict:
         ],
         "witness": witness_to_doc(wit, dict.fromkeys(_MODES, True)),
     }
-    return doc
 
 
 def _cmd_gen(args) -> dict:
     if args.n < 0 or args.entry_bound < 0 or args.core_rank < 0 or args.seed < 0:
-        raise _usage_error("gen sizes, bounds, and seeds must be nonnegative")
+        raise UsageError("gen sizes, bounds, and seeds must be nonnegative")
     if args.core_rank > args.n:
-        raise _usage_error("--core-rank cannot exceed --n")
+        raise UsageError("--core-rank cannot exceed --n")
     cfg = GenConfig(
         ring=args.ring,
         n=args.n,
@@ -314,16 +311,16 @@ def _cmd_gen(args) -> dict:
         tr = gen_flanders_triple(cfg, c_equals_b=args.c_equals_b)
     elif kind == "drazin":
         if args.index < 1:
-            raise _usage_error("--index must be at least 1")
+            raise UsageError("--index must be at least 1")
         if args.n - args.core_rank < args.index:
-            raise _usage_error("need n - core_rank >= index for kind=drazin")
+            raise UsageError("need n - core_rank >= index for kind=drazin")
         doc["index"] = args.index
         tr = gen_drazin_triple(cfg, args.index, c_equals_b=args.c_equals_b)
     else:  # corollary-false
         if args.variant is None:
-            raise _usage_error("--variant is required for kind=corollary-false")
+            raise UsageError("--variant is required for kind=corollary-false")
         if args.ring != "int":
-            raise _usage_error("kind=corollary-false supports --ring int only")
+            raise UsageError("kind=corollary-false supports --ring int only")
         a, b, c, expected = gen_corollary_false(cfg, args.variant)
         doc["variant"] = args.variant
         doc["expected_failed"] = list(expected)
@@ -343,25 +340,9 @@ def _cmd_selftest(args) -> int:
     from . import acceptance
 
     if args.seed < 0:
-        raise _usage_error("--seed must be nonnegative")
+        raise UsageError("--seed must be nonnegative")
     ok, _results = acceptance.run_all(profile=args.profile, base_seed=args.seed)
     return 0 if ok else 1
-
-
-_HANDLERS = {
-    "rank": _cmd_rank,
-    "hnf": _cmd_hnf,
-    "smith": _cmd_smith,
-    "ginv": _cmd_ginv,
-    "drazin": _cmd_drazin,
-    "witness": _cmd_witness,
-    "witness-power": _cmd_witness_power,
-    "verify": _cmd_verify,
-    "verify-cline": _cmd_verify_cline,
-    "check": _cmd_check,
-    "gen": _cmd_gen,
-    "selftest": _cmd_selftest,
-}
 
 
 def _error_exit(exc: BezmatError) -> int:
@@ -397,8 +378,8 @@ def _error_exit(exc: BezmatError) -> int:
             doc["instance"] = exc.instance
         code = 5
     else:
-        # FormatError, NotSquare, NoSolution, NotDivisible, RingMismatch,
-        # DimensionMismatch, DivisionByZero: input problems.
+        # UsageError, FormatError, NotSquare, NoSolution, NotDivisible,
+        # RingMismatch, DimensionMismatch, DivisionByZero: input problems.
         code = 4
     print(dumps_doc(doc))
     return code
@@ -410,20 +391,17 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 4
-    fault = getattr(args, "inject_fault", None)
+    fault = args.inject_fault
     if fault:
         faults.activate(fault)
     try:
-        handler = _HANDLERS[args.verb]
-        try:
-            result = handler(args)
-        except BezmatError as exc:
-            return _error_exit(exc)
-        except ValueError as exc:
-            print(dumps_doc({"error": "ValueError", "message": str(exc)}))
-            return 4
-        except SystemExit as exc:
-            return exc.code if isinstance(exc.code, int) else 4
+        result = args.handler(args)
+    except BezmatError as exc:
+        return _error_exit(exc)
+    except ValueError as exc:
+        print(dumps_doc({"error": "ValueError", "message": str(exc)}))
+        return 4
+    else:
         if isinstance(result, int):
             return result
         print(dumps_doc(result))

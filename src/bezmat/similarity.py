@@ -145,7 +145,7 @@ def _similarity_witness(a: Mat, b: Mat, c: Mat):
         raise NotGroupInvertible(NO_GROUP_INVERSE, side="AB")
     xg, p1 = found
     yg, p2 = _exchange(a, c, y, xg, "CA")
-    return _witness_from(a, b, c, x, y, xg, yg, p1, p2)
+    return _witness_from(a, b, c, x, y, xg, yg, p1, p2), (p1, p2)
 
 
 def _exchange(a: Mat, c: Mat, y: Mat, xg: Mat, side: str):
@@ -162,7 +162,7 @@ def _exchange(a: Mat, c: Mat, y: Mat, xg: Mat, side: str):
 def _witness_from(a: Mat, b: Mat, c: Mat, x: Mat, y: Mat, xg: Mat, yg: Mat, p1: Mat, p2: Mat):
     """Steps 3-6 for a triple with A@B@A == A@C@A, given X = A@B and
     Y = C@A, their group inverses xg and yg and the core projectors
-    (P, P') = (X @ xg, Y @ yg).  Returns the witness and (P, P')."""
+    (P, P') = (X @ xg, Y @ yg)."""
     ident = Mat.identity(a.ring, a.n)
     k1 = _rank_factorization(ident - p1)
     k2 = _rank_factorization(ident - p2)
@@ -178,8 +178,7 @@ def _witness_from(a: Mat, b: Mat, c: Mat, x: Mat, y: Mat, xg: Mat, yg: Mat, p1: 
             "witness failed final verification",
             instance=_instance_dump(a, b, c, "final"),
         )
-    wit = SimilarityWitness(W=w, Winv=winv, r1=a.n - k1.r, X=x, Y=y, Xginv=xg, Yginv=yg)
-    return wit, (p1, p2)
+    return SimilarityWitness(W=w, Winv=winv, r1=a.n - k1.r, X=x, Y=y, Xginv=xg, Yginv=yg)
 
 
 def verify_witness(a: Mat, b: Mat, c: Mat, w: Mat, mode: str = "product") -> bool:
@@ -281,7 +280,7 @@ def _power_witness(a: Mat, b: Mat, c: Mat, s: int, ab, dr_ab) -> SimilarityWitne
         )
     # refused legitimately at s == k when index(C@A) == k + 1
     ysg, p2 = _exchange(a, c2, ys, xsg, "CA^s")
-    return _witness_from(a, b2, c2, xs, ys, xsg, ysg, p1, p2)[0]
+    return _witness_from(a, b2, c2, xs, ys, xsg, ysg, p1, p2)
 
 
 def cline_verify(a: Mat, b: Mat, c: Mat) -> bool:
@@ -341,18 +340,13 @@ def corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
     triple with A@B@A == A@C@A, force both A@B and C@A to be group
     invertible.  If every equality holds, group invertibility is
     asserted (a failure would contradict the theory, so it raises
-    InternalAssertion) and the base witness is returned.  If some
-    equality fails, ConditionNotMet carries the failing names and the
-    full report.  The cor24 variant checks its stated equalities but,
-    like the others, certifies A@B similar to C@A.
+    InternalAssertion) and (report, witness) is returned; like
+    conjugate_witnesses, the witness has passed every mode of
+    verify_witness.  If some equality fails, ConditionNotMet carries
+    the failing names and the full report.  The cor24 variant checks its
+    stated equalities but, like the others, certifies A@B similar to
+    C@A.
     """
-    report, wit, _ = _corollary_check(a, b, c, variant)
-    return report, wit
-
-
-def _corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
-    """corollary_check with the witness's core projectors: (report,
-    witness, (P, P'))."""
     x, y, aba = _shared_products(a, b, c)
     conditions = _variant_conditions(a, b, c, x, y, aba, variant)
     found_x = _group_inverse_attempt(x)
@@ -376,4 +370,6 @@ def _corollary_check(a: Mat, b: Mat, c: Mat, variant: str):
             instance=_instance_dump(a, b, c, f"variant-{variant}"),
         )
     (xg, p1), (yg, p2) = found_x, found_y
-    return (report, *_witness_from(a, b, c, x, y, xg, yg, p1, p2))
+    wit = _witness_from(a, b, c, x, y, xg, yg, p1, p2)
+    _derived_conjugations(a, b, c, wit, (p1, p2))
+    return report, wit

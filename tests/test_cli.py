@@ -436,9 +436,9 @@ def test_exit_5_derived_conjugation_failure_dumps_instance(write_doc, monkeypatc
     witness_from = similarity._witness_from
 
     def yginv_off_by_one(*args):
-        wit, proj = witness_from(*args)
+        wit = witness_from(*args)
         y = wit.Yginv
-        return wit._replace(Yginv=y + Mat.diagonal(y.ring, [1], y.m, y.n)), proj
+        return wit._replace(Yginv=y + Mat.diagonal(y.ring, [1], y.m, y.n))
 
     monkeypatch.setattr(similarity, "_witness_from", yginv_off_by_one)
     instance = run_swap_exit_5(write_doc, ["check" if extra else "witness", *extra])
