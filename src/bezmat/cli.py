@@ -8,7 +8,8 @@ anything is printed, so an exit status of 0 certifies the printed
 identities.  Every failure past argument parsing, a usage error
 included, is a BezmatError that one function, _error_exit, turns into
 an error document and exit code; argparse's own errors exit 4 with
-usage text on stderr.
+usage text on stderr.  While a verb runs, Python's limit on converting
+integers of more than 4,300 digits to and from strings is lifted.
 
 Exit codes:
   0  success (including ``verify`` runs whose answer is false)
@@ -394,6 +395,11 @@ def main(argv=None) -> int:
     fault = args.inject_fault
     if fault:
         faults.activate(fault)
+    # entries are exact integers of any size, and Python refuses to convert
+    # one of more than 4,300 digits to or from a string until this is lifted
+    digits = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if digits is not None:
+        sys.set_int_max_str_digits(0)
     try:
         result = args.handler(args)
     except BezmatError as exc:
@@ -409,6 +415,8 @@ def main(argv=None) -> int:
     finally:
         if fault:
             faults.deactivate(fault)
+        if digits is not None:
+            sys.set_int_max_str_digits(digits)
 
 
 def run_argv(argv):

@@ -86,6 +86,8 @@ def load_matrix(path: str) -> Mat:
             text = fh.read()
     except OSError as exc:
         raise FormatError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         return loads_matrix(text)
     except FormatError as exc:

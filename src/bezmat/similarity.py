@@ -31,7 +31,9 @@ fully checkable at runtime:
      make the cross terms vanish.  X and Y vanish on the kernels, so W
      conjugates Y to X there as well.
   6. W @ Winv == I and A@B == W @ (C@A) @ Winv are verified before
-     returning.
+     returning.  conjugate_witnesses and corollary_check also verify
+     that W conjugates the group inverses, core projectors and cores,
+     so their witness has passed every mode of verify_witness.
 
 Powers reuse the construction on (A, B @ X^(s-1), C' = Y^(s-1) @ C),
 whose products X^s, Y^s and shared-product identity hold by

@@ -7,6 +7,7 @@ exit codes follow the documented contract: 0 success (including
 over the ring, 4 format/usage errors, 5 internal assertions.
 """
 
+import contextlib
 import json
 import os
 import subprocess
@@ -19,6 +20,7 @@ from bezmat.errors import NotDrazinInvertible, NotGroupInvertible
 from bezmat.generate import GenConfig, gen_drazin_triple, gen_flanders_triple
 from bezmat.io import dumps_doc, matrix_from_doc, matrix_to_doc
 from bezmat.matrix import Mat
+from bezmat.normal_forms import smith
 from bezmat.rings import ZZ
 
 
@@ -399,6 +401,102 @@ def test_exit_4_format_errors(write_doc, tmp_path):
     assert doc["error"] == "FormatError"
     code, doc = run_json(["rank", str(tmp_path / "missing.json")])
     assert code == 4
+
+
+def test_exit_4_file_not_utf8(tmp_path):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"ring": "int", "rows": 1, "cols": 1, "entries": [["\xff"]]}')
+    code, doc = run_json(["rank", str(latin1)])
+    assert code == 4
+    assert doc["error"] == "FormatError"
+    assert doc["message"].startswith(f"{latin1}: not UTF-8 text: ")
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (["gen", "matrix", "--n", "3", "--core-rank", "4"], "--core-rank cannot exceed --n"),
+        (["gen", "drazin", "--index", "0"], "--index must be at least 1"),
+        (["gen", "corollary-false"], "--variant is required for kind=corollary-false"),
+        (["selftest", "--seed", "-1"], "--seed must be nonnegative"),
+    ],
+)
+def test_exit_4_usage_error_document(argv, message):
+    code, out = run_argv(argv)
+    assert code == 4
+    assert out == dumps_doc({"error": "UsageError", "message": message}) + "\n"
+
+
+@pytest.mark.parametrize(
+    "verb,usage,missing",
+    [
+        ("witness", "[-h] A B C", "A, B, C"),
+        ("witness-power", "[-h] [--s S] A B C", "A, B, C"),
+        ("verify", "[-h] [--mode {product,ginv,projector,core}] A B C W", "A, B, C, W"),
+        ("verify-cline", "[-h] A B C", "A, B, C"),
+        ("check", "[-h] --variant {cor22,cor23,thm22,cor24} A B C", "A, B, C, --variant"),
+    ],
+)
+def test_triple_verb_usage(capsys, verb, usage, missing):
+    # argparse prints the verb's format_usage() before its error
+    code, out = run_argv([verb])
+    assert (code, out) == (4, "")
+    assert capsys.readouterr().err == (
+        f"usage: bezmat {verb} {usage}\n"
+        f"bezmat {verb}: error: the following arguments are required: {missing}\n"
+    )
+
+
+@contextlib.contextmanager
+def no_digit_limit():
+    """Lift Python's limit on int/str conversions past 4,300 digits, where
+    the interpreter has one, for the test's own parsing."""
+    old = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if old is not None:
+        sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        if old is not None:
+            sys.set_int_max_str_digits(old)
+
+
+def test_smith_prints_entries_past_the_digit_limit(write_doc):
+    # (10^2500 + 1)(10^2500 + 3) has 5,001 digits; the CLI lifts the limit
+    # only while it runs
+    p, q = 10**2500 + 1, 10**2500 + 3
+    path = write_doc("d.json", {"ring": "int", "rows": 2, "cols": 2, "entries": [[str(p), "0"], ["0", str(q)]]})
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    code, doc = run_json(["smith", path])
+    assert getattr(sys, "get_int_max_str_digits", lambda: None)() == limit
+    assert code == 0
+    pq = "1" + "0" * 2499 + "4" + "0" * 2499 + "3"
+    assert doc["diagonal"] == ["1", pq]
+    assert doc["S"]["entries"] == [["1", "0"], ["0", pq]]
+    with no_digit_limit():
+        sr = smith(Mat.from_rows(ZZ, [[p, 0], [0, q]]))
+        assert doc == {
+            "S": matrix_to_doc(sr.S),
+            "U": matrix_to_doc(sr.U),
+            "V": matrix_to_doc(sr.V),
+            "diagonal": ["1", pq],
+            "rank": 2,
+        }
+
+
+@pytest.mark.parametrize("entry", ['"{}"', "{}"], ids=["string", "bare"])
+def test_hnf_reads_entries_past_the_digit_limit(tmp_path, entry):
+    big = "1" + "0" * 4999 + "7"  # 5,001 digits
+    path = tmp_path / "big.json"
+    path.write_text('{"ring": "int", "rows": 1, "cols": 1, "entries": [[' + entry.format(big) + "]]}")
+    code, doc = run_json(["hnf", str(path)])
+    assert code == 0
+    assert doc == {
+        "H": {"ring": "int", "rows": 1, "cols": 1, "entries": [[big]]},
+        "T": {"ring": "int", "rows": 1, "cols": 1, "entries": [["1"]]},
+        "pivot_rows": [0],
+        "rank": 1,
+    }
 
 
 def test_exit_5_injected_fault_dumps_instance(write_doc):

@@ -136,6 +136,14 @@ def test_load_matrix_wraps_oserror_and_prefixes_path(tmp_path):
     assert "bad.json" in str(exc_info2.value)
 
 
+def test_load_matrix_rejects_non_utf8_with_path(tmp_path):
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes(b'{"ring": "int", "rows": 1, "cols": 1, "entries": [["\xe9"]]}')
+    with pytest.raises(FormatError) as exc_info:
+        load_matrix(str(latin1))
+    assert str(exc_info.value).startswith(f"{latin1}: not UTF-8 text: ")
+
+
 def test_save_load_file_round_trip(tmp_path):
     m = Mat.from_rows(QQ, [[Fraction(1, 3), Fraction(-5)]])
     p = tmp_path / "m.json"

@@ -26,6 +26,7 @@ from bezmat.generate import (
     GenConfig,
     SplitMix64,
     _random_matrix,
+    gen_corollary_true,
     gen_drazin_triple,
     gen_flanders_triple,
 )
@@ -389,6 +390,34 @@ def test_corollary_check_true_on_all_variants():
         report, wit = corollary_check(a, b, c, variant)
         assert all(ok for _, ok in report.variant_conditions)
         assert a @ b == wit.W @ (c @ a) @ wit.Winv
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_corollary_check_witness_verifies_in_every_mode(variant):
+    # corollary_check certifies its witness as conjugate_witnesses does
+    for i in range(6):
+        n = 2 + i % 3
+        cfg = GenConfig(ring="int", n=n, seed=7_000 + i, entry_bound=9, core_rank=i % (n + 1))
+        a, b, c = gen_corollary_true(cfg, c_equals_b=i % 2 == 0)
+        _, wit = corollary_check(a, b, c, variant)
+        for mode in ("product", "ginv", "projector", "core"):
+            assert verify_witness(a, b, c, wit.W, mode=mode) is True
+
+
+def test_corollary_check_raises_on_a_failed_derived_conjugation(monkeypatch):
+    from bezmat import similarity
+
+    witness_from = similarity._witness_from
+
+    def yginv_off_by_one(*args):
+        wit = witness_from(*args)
+        y = wit.Yginv
+        return wit._replace(Yginv=y + Mat.diagonal(y.ring, [1], y.m, y.n))
+
+    monkeypatch.setattr(similarity, "_witness_from", yginv_off_by_one)
+    with pytest.raises(InternalAssertion) as exc_info:
+        corollary_check(*swap_triple(), "cor22")
+    assert exc_info.value.instance["stage"] == "conjugate-ginv"
 
 
 def test_corollary_check_failed_names_are_exact():
